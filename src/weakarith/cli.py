@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import FormatError, WorkbenchError
 from .machines import (
     decode_program,
-    parse_pair_spec,
+    load_pair_spec,
     parse_program,
     run_bounded,
 )
@@ -35,13 +35,6 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_pair(spec: str):
-    text = spec.strip()
-    if text == "canonical" or "=" in text:
-        return parse_pair_spec(text)
-    return parse_pair_spec(_read(text))
 
 
 def _formula_from_args(args, attr_file="file", attr_text="text"):
@@ -173,7 +166,7 @@ def _do_decide(args) -> int:
     from .eqdecide import decide, rank
 
     phi = _decide_sentence(args)
-    pair = _load_pair(args.pair)
+    pair = load_pair_spec(args.pair)
     decision = decide(phi, pair, args.stage)
     label = decision.kind.capitalize()
     if decision.kind == "unknown":
@@ -200,7 +193,7 @@ def _do_normal_form(args) -> int:
 
 
 def _do_enumerate_pair(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = load_pair_spec(args.pair)
     left = sorted(pair.left.at(args.stage))
     right = sorted(pair.right.at(args.stage))
     print("left:", *left)
@@ -305,7 +298,7 @@ def _make_decider(args, pair):
 def _do_independence(args) -> int:
     from .experiments import independence_search
 
-    pair = _load_pair(args.pair)
+    pair = load_pair_spec(args.pair)
     decider = _make_decider(args, pair)
     report = independence_search(pair, decider, args.n_max, stage=args.stage)
     print("x:", *report.x_set)
@@ -330,7 +323,7 @@ def _do_stress(args) -> int:
 
     theory = get_theory(args.theory)
     if args.pair is not None:
-        pair = _load_pair(args.pair)
+        pair = load_pair_spec(args.pair)
     else:
         pair = None
         if args.decider != "proof-search":
@@ -353,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weakarith",
         description="workbench for weak arithmetic theories")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized helper (default 0)")
     common.add_argument("--summary", action="store_true",
                         help="append one machine-readable summary line")
     subparsers = top.add_subparsers(dest="verb", required=True)
@@ -490,6 +481,11 @@ def main(argv=None) -> int:
         return USAGE_FAIL
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_FAIL
+    except (RecursionError, MemoryError) as exc:
+        # input too deep or too large for this process; the stack is
+        # unwound by now, so reporting it is safe
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return DOMAIN_FAIL
     except BrokenPipeError:
         # downstream closed the pipe early (e.g. piped into head); point

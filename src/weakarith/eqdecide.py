@@ -170,10 +170,7 @@ def realize_profile(profile: SizeProfile,
                     rel: str = DEFAULT_RELATION) -> FiniteStructure:
     """Canonical witness: capped counts become exactly the cap, every
     class larger than the rank becomes one of rank+1 elements."""
-    blocks: list[int] = []
-    for s, count in enumerate(profile.small, start=1):
-        blocks.extend([s] * count)
-    blocks.extend([profile.rank + 1] * profile.large)
+    blocks = _profile_blocks(profile)
     if not blocks:
         raise ProfileError("the empty profile has no nonempty realization")
     pairs = set()

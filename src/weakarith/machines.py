@@ -9,7 +9,9 @@ the output is read from r0. Instructions:
 
 Program counter past the last instruction also halts. Executed inc/decjz
 instructions each cost one step; reaching halt (or falling off the end) is
-free, so the empty program halts within 0 steps.
+free, so the empty program halts within 0 steps. A `MachineRun` holds the
+state of one run (program counter, registers, steps used) and can stop after
+any number of steps and resume later; `run_bounded` is a fresh run.
 
 Program numbering:
 
@@ -20,12 +22,24 @@ Program numbering:
 Every natural decodes: code 0 is the empty program (immediate halt, by
 convention), and any decoded program whose jump target exceeds the program
 length is normalized to the one-instruction halt program.
+
+Staged pairs record each element once, with its side and its entry stage
+(the first stage that enumerates it); a side at stage s holds the elements
+that entered by s. In the canonical pair program e enters at max(e, halt
+step) of its run on input e, left on output 0 and right on output 1. A finite
+pair's elements enter at stage 0 and it is complete at every stage. Sides
+only grow, as entry stages never change, and stay disjoint, as a run halts
+once with one output; recording an element on both sides, as an overlapping
+finite spec would, raises StageDisjointnessError.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from pathlib import Path
+from typing import Iterable
 
 from .errors import FormatError, WorkbenchError
 from .godel import pair, unpair
@@ -53,41 +67,56 @@ def decjz(r: int, target: int) -> Instruction:
 HALT_INSTR: Instruction = (HALT,)
 
 
+class MachineRun:
+    """A run of a program on one input that can stop and resume."""
+
+    __slots__ = ("instructions", "pc", "registers", "steps")
+
+    def __init__(self, program: Program, input_value: int):
+        self.instructions = instrs = program.instructions
+        self.registers = [0] * max([2] + [op[1] + 1 for op in instrs if len(op) > 1])
+        self.registers[1] = input_value
+        self.pc = 0
+        self.steps = 0
+
+    def advance(self, steps: int) -> int | None:
+        """Run at most `steps` more steps; r0 once the machine has halted, else None."""
+        instrs = self.instructions
+        n = len(instrs)
+        regs = self.registers
+        pc = self.pc
+        left = steps
+        halted = True
+        while pc < n:
+            op = instrs[pc]
+            kind = op[0]
+            if kind == HALT:
+                break
+            if left <= 0:
+                halted = False
+                break
+            left -= 1
+            if kind == INC:
+                regs[op[1]] += 1
+                pc += 1
+            else:  # decjz
+                r = op[1]
+                if regs[r] == 0:
+                    pc = op[2]
+                else:
+                    regs[r] -= 1
+                    pc += 1
+        self.pc = pc
+        self.steps += steps - left
+        return regs[0] if halted else None
+
+
 def run_bounded(program: Program, input_value: int, steps: int) -> int | None:
     """Run with input in r1 for at most the given number of steps.
 
     Returns the r0 value when the machine halts within the budget, else None.
     """
-    instrs = program.instructions
-    n = len(instrs)
-    nregs = 2
-    for op in instrs:
-        if len(op) > 1 and op[1] + 1 > nregs:
-            nregs = op[1] + 1
-    regs = [0] * nregs
-    regs[1] = input_value
-    pc = 0
-    left = steps
-    while True:
-        if pc >= n:
-            return regs[0]
-        op = instrs[pc]
-        kind = op[0]
-        if kind == HALT:
-            return regs[0]
-        if left <= 0:
-            return None
-        left -= 1
-        if kind == INC:
-            regs[op[1]] += 1
-            pc += 1
-        else:  # decjz
-            r = op[1]
-            if regs[r] == 0:
-                pc = op[2]
-            else:
-                regs[r] -= 1
-                pc += 1
+    return MachineRun(program, input_value).advance(steps)
 
 
 def _encode_instruction(op: Instruction) -> int:
@@ -123,10 +152,8 @@ def decode_program(code: int) -> Program:
     while code != 0:
         head, code = unpair(code - 1)
         instrs.append(_decode_instruction(head))
-    n = len(instrs)
-    for op in instrs:
-        if op[0] == DECJZ and op[2] > n:
-            return Program((HALT_INSTR,))
+    if any(op[0] == DECJZ and op[2] > len(instrs) for op in instrs):
+        return Program((HALT_INSTR,))
     return Program(tuple(instrs))
 
 
@@ -153,45 +180,10 @@ def parse_program(text: str) -> Program:
 
 
 def format_program(program: Program) -> str:
-    lines = []
-    for op in program.instructions:
-        lines.append(" ".join(str(x) for x in op))
-    return "\n".join(lines)
+    return "\n".join(" ".join(str(x) for x in op) for op in program.instructions)
 
 
-# --- staged sets and oracle pairs ---------------------------------------
-
-class StageSet:
-    """Total monotone map from a stage number to a finite set of naturals."""
-
-    def at(self, stage: int) -> frozenset[int]:
-        raise NotImplementedError
-
-
-class FiniteStageSet(StageSet):
-    """Constant stage map: the whole finite set is known from stage 0 on."""
-
-    def __init__(self, elements: Iterable[int]):
-        self.elements = frozenset(elements)
-
-    def at(self, stage: int) -> frozenset[int]:
-        return self.elements
-
-
-class ComputedStageSet(StageSet):
-    """Stage map given by a function; results are memoized per stage."""
-
-    def __init__(self, fn: Callable[[int], Iterable[int]]):
-        self.fn = fn
-        self._cache: dict[int, frozenset[int]] = {}
-
-    def at(self, stage: int) -> frozenset[int]:
-        got = self._cache.get(stage)
-        if got is None:
-            got = frozenset(self.fn(stage))
-            self._cache[stage] = got
-        return got
-
+# --- oracle pairs ---------------------------------------------------------
 
 class StageDisjointnessError(WorkbenchError):
     pass
@@ -210,30 +202,79 @@ class Membership:
         return self.status
 
 
-class OraclePair:
-    """A pair of staged sets promised disjoint; checked lazily per stage.
+class PairSide:
+    """One side of an oracle pair: its elements in order of entry stage."""
 
-    finite mode (both sides FiniteStageSet) supports definite 'out' answers;
-    enumerative mode answers 'unknown' for anything not yet enumerated.
+    def __init__(self, pair_: OraclePair):
+        self._pair = pair_
+        self.stages: list[int] = []
+        self.elements: list[int] = []
+
+    def at(self, stage: int) -> frozenset[int]:
+        """The elements whose entry stage is at most `stage`."""
+        if self._pair.finite:
+            return frozenset(self.elements)
+        self._pair.check_stage(stage)
+        return frozenset(self.elements[:bisect_right(self.stages, stage)])
+
+
+class OraclePair:
+    """Two disjoint staged sets, recorded as one (side, entry stage) per element.
+
+    The constructor gives a finite pair, whose 'out' answers are definite.
+    The canonical pair (finite False) answers 'unknown' for anything not yet
+    enumerated and extends its record up to the highest stage asked.
     """
 
-    def __init__(self, left: StageSet, right: StageSet):
-        self.left = left
-        self.right = right
-        self.finite = isinstance(left, FiniteStageSet) and isinstance(right, FiniteStageSet)
+    def __init__(self, left: Iterable[int] = (), right: Iterable[int] = ()):
+        self.finite = True
+        self.left, self.right = PairSide(self), PairSide(self)
+        self._entries: dict[int, tuple[PairSide, int]] = {}
+        self._frontier = -1
+        self._runs: dict[int, MachineRun] = {}
+        self._record([(0, e, self.left) for e in sorted(set(left))]
+                     + [(0, e, self.right) for e in sorted(set(right))])
+
+    def _record(self, events: list[tuple[int, int, PairSide]]) -> None:
+        """Append (entry stage, element, side) events given in entry order."""
+        clash = []
+        for stage, e, side in events:
+            if e in self._entries:
+                clash.append(e)
+                continue
+            self._entries[e] = (side, stage)
+            side.stages.append(stage)
+            side.elements.append(e)
+        if clash:
+            raise StageDisjointnessError(f"sides share {sorted(clash)} at stage {stage}")
 
     def check_stage(self, stage: int) -> None:
-        clash = self.left.at(stage) & self.right.at(stage)
-        if clash:
-            raise StageDisjointnessError(
-                f"sides share {sorted(clash)} at stage {stage}")
+        """Extend the canonical record to `stage`: start the programs above
+        the old frontier, resume every pending run up to `stage` steps. A run
+        that halts enters above the old frontier, so its event sorts last.
+        """
+        if self.finite or stage <= self._frontier:
+            return
+        runs = self._runs
+        for e in range(self._frontier + 1, stage + 1):
+            runs[e] = MachineRun(decode_program(e), e)
+        events = []
+        for e, run in list(runs.items()):
+            out = run.advance(stage - run.steps)
+            if out is not None:
+                del runs[e]
+                if out in (0, 1):
+                    events.append((max(e, run.steps), e, self.right if out else self.left))
+        events.sort()
+        self._frontier = stage
+        self._record(events)
 
     def query(self, side: str, n: int, stage: int) -> Membership:
         if side not in ("left", "right"):
             raise WorkbenchError(f"bad side {side!r}")
         self.check_stage(stage)
-        members = (self.left if side == "left" else self.right).at(stage)
-        if n in members:
+        entry = self._entries.get(n, (None, 0))
+        if entry[0] is getattr(self, side) and (self.finite or entry[1] <= stage):
             return Membership("in")
         if self.finite:
             return Membership("out")
@@ -244,59 +285,11 @@ def canonical_pair() -> OraclePair:
     """The computably inseparable pair built over the program numbering.
 
     left(s)  = { e <= s : program e on input e halts within s steps with output 0 }
-    right(s) = same with output 1.
-
-    Halting runs are memoized per program index, so stage ladders are cheap.
+    right(s) = same with output 1. Each call returns a fresh pair.
     """
-    cache: dict[int, tuple[int, int | None, int | None]] = {}
-    # cache[e] = (probed_budget, halt_step, output); halt_step None = no halt seen
-
-    def probe(e: int, budget: int) -> tuple[int | None, int | None]:
-        probed, halt_step, output = cache.get(e, (-1, None, None))
-        if halt_step is not None or probed >= budget:
-            return halt_step, output
-        program = decode_program(e)
-        instrs = program.instructions
-        n = len(instrs)
-        nregs = 2
-        for op in instrs:
-            if len(op) > 1 and op[1] + 1 > nregs:
-                nregs = op[1] + 1
-        regs = [0] * nregs
-        regs[1] = e
-        pc = 0
-        step = 0
-        while True:
-            if pc >= n or instrs[pc][0] == HALT:
-                cache[e] = (budget, step, regs[0])
-                return step, regs[0]
-            if step >= budget:
-                cache[e] = (budget, None, None)
-                return None, None
-            step += 1
-            op = instrs[pc]
-            if op[0] == INC:
-                regs[op[1]] += 1
-                pc += 1
-            else:
-                r = op[1]
-                if regs[r] == 0:
-                    pc = op[2]
-                else:
-                    regs[r] -= 1
-                    pc += 1
-
-    def side(want: int):
-        def stage_fn(s: int):
-            out = []
-            for e in range(s + 1):
-                halt_step, result = probe(e, s)
-                if halt_step is not None and halt_step <= s and result == want:
-                    out.append(e)
-            return out
-        return ComputedStageSet(stage_fn)
-
-    return OraclePair(side(0), side(1))
+    pair_ = OraclePair()
+    pair_.finite = False
+    return pair_
 
 
 def parse_pair_spec(text: str) -> OraclePair:
@@ -311,17 +304,22 @@ def parse_pair_spec(text: str) -> OraclePair:
     parts = stripped.split(None, 1)
     if not parts or parts[0] != "finite" or len(parts) < 2:
         raise FormatError(f"bad pair spec {text!r}")
-    import re
     groups = re.findall(r"([A-Za-z_]\w*)=\{([0-9,\s]*)\}", parts[1])
     if len(groups) != 2:
         raise FormatError(f"pair spec needs exactly two NAME={{...}} groups: {text!r}")
-    sides = []
-    for _, body in groups:
-        items = [p.strip() for p in body.split(",")]
-        sides.append(frozenset(int(p) for p in items if p))
-    pair_ = OraclePair(FiniteStageSet(sides[0]), FiniteStageSet(sides[1]))
-    pair_.check_stage(0)
-    return pair_
+    return OraclePair(*([int(p) for p in body.split(",") if p.strip()]
+                        for _, body in groups))
+
+
+def load_pair_spec(spec: str) -> OraclePair:
+    """A pair from an inline spec ('canonical', 'finite ...') or a spec file."""
+    text = spec.strip()
+    if text != "canonical" and "=" not in text:
+        try:
+            text = Path(text).read_text()
+        except OSError as exc:
+            raise FormatError(f"cannot read {text}: {exc}") from exc
+    return parse_pair_spec(text)
 
 
 def format_pair_spec(pair_: OraclePair) -> str:

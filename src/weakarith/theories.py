@@ -12,12 +12,11 @@ axiom for membership purposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from .errors import FormatError, WorkbenchError
 from .godel import pair, unpair
-from .machines import OraclePair, decode_program, parse_pair_spec, run_bounded
+from .machines import OraclePair, decode_program, load_pair_spec, run_bounded
 from .syntax import (
     KIND_FUNCTION,
     KIND_RELATION,
@@ -638,7 +637,6 @@ PADDING = ForAll("x", Eq(Var("x"), Var("x")))
 def _staged_fact(pair_: OraclePair, side: str, j: int) -> int | None:
     """Slot j encodes (stage, position); None when the slot is padding."""
     s, k = unpair(j)
-    pair_.check_stage(s)
     facts = sorted((pair_.left if side == "left" else pair_.right).at(s))
     if k >= len(facts):
         return None
@@ -651,8 +649,6 @@ def make_u_theory(pair_: OraclePair, name: str = "U") -> Theory:
     Index layout: i = 3j, 3j+1, 3j+2 cover numeral distinctness, positive
     facts P(n) for n on the left, and negative facts for the right side.
     """
-    pair_.check_stage(0)
-
     def ax_fn(i: int) -> Formula:
         kind, j = i % 3, i // 3
         if kind == 0:
@@ -673,8 +669,6 @@ def make_e_theory(pair_: OraclePair, name: str = "E") -> Theory:
     axiom; class-size existence claims follow the left side of the pair,
     their negations the right side.
     """
-    pair_.check_stage(0)
-
     def ax_fn(i: int) -> Formula:
         kind, j = i % 3, i // 3
         if kind == 0:
@@ -768,16 +762,6 @@ CATALOG = _build_catalog()
 CATALOG_IDS = tuple(CATALOG) + ("U:<pair>", "E:<pair>", "product:<id>,<id>")
 
 
-def _pair_from_spec(text: str) -> OraclePair:
-    spec = text.strip()
-    if spec == "canonical" or "=" in spec:
-        return parse_pair_spec(spec)
-    path = Path(spec)
-    if path.is_file():
-        return parse_pair_spec(path.read_text())
-    raise TheoryIdError(f"pair spec {text!r} is neither inline nor a readable file")
-
-
 def _split_product(text: str) -> tuple[str, str]:
     depth = 0
     for idx, ch in enumerate(text):
@@ -796,9 +780,9 @@ def get_theory(identifier: str) -> Theory:
     if ident in CATALOG:
         return CATALOG[ident]
     if ident.startswith("U:"):
-        return make_u_theory(_pair_from_spec(ident[2:]), ident)
+        return make_u_theory(load_pair_spec(ident[2:]), ident)
     if ident.startswith("E:"):
-        return make_e_theory(_pair_from_spec(ident[2:]), ident)
+        return make_e_theory(load_pair_spec(ident[2:]), ident)
     if ident.startswith("product:"):
         a, b = _split_product(ident[len("product:"):])
         return make_product(get_theory(a), get_theory(b))

@@ -8,6 +8,7 @@ where the verb is a thin wrapper.
 import pytest
 
 from weakarith.cli import main
+from weakarith.errors import FormatError
 from weakarith.sexpr import parse_formula, print_formula
 from weakarith.structures import FiniteStructure, format_structure
 from weakarith.theories import get_theory, size_exists
@@ -254,3 +255,32 @@ def test_unknown_verb_and_flag_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["axioms", "R", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_pair_spec_file_and_missing_path_on_both_routes(tmp_path, capsys):
+    spec = tmp_path / "pair.txt"
+    spec.write_text("finite B={2} C={3}\n")
+    missing = tmp_path / "no-such-pair.txt"
+    phi2 = tmp_path / "phi2.sexp"
+    phi2.write_text(print_formula(size_exists(2)) + "\n")
+
+    assert main(["decide", "--sentence", str(phi2), "--pair", str(spec)]) == 0
+    assert capsys.readouterr().out == "Provable\n"
+    assert main(["decide", "--sentence", str(phi2), "--pair", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+    theory = get_theory(f"U:{spec}")
+    assert print_formula(theory.axiom_of(1)) == "(P (S (S 0)))"
+    with pytest.raises(FormatError, match="cannot read"):
+        get_theory(f"U:{missing}")
+    assert main(["axioms", f"E:{missing}", "--count", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_too_deep_numeral_is_an_error_line_not_a_traceback(capsys):
+    assert main(["axioms", "R", "--start", "170301", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -1,10 +1,12 @@
 """Counter machines and staged enumeration pairs."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, strategies as st
 
 from weakarith.machines import (
-    FiniteStageSet,
-    OraclePair,
+    MachineRun,
     Program,
     StageDisjointnessError,
     canonical_pair,
@@ -74,7 +76,7 @@ def test_parse_program_rejects_junk():
 
 
 def test_finite_stage_set_ignores_stage():
-    s = FiniteStageSet(frozenset({1, 4}))
+    s = parse_pair_spec("finite B={1,4} C={}").left
     assert s.at(0) == {1, 4}
     assert s.at(99) == {1, 4}
 
@@ -131,3 +133,64 @@ def test_answers_do_not_flip():
                 assert got == "in"
             if got == "in":
                 fixed[n] = "in"
+
+
+# --- differential checks against the plain definitions -----------------------
+
+@lru_cache(maxsize=None)
+def _brute_sides(stage):
+    """Both canonical sides at a stage, each program run from scratch."""
+    outs = {e: run_bounded(decode_program(e), e, stage) for e in range(stage + 1)}
+    return (frozenset(e for e, out in outs.items() if out == 0),
+            frozenset(e for e, out in outs.items() if out == 1))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=6))
+def test_canonical_pair_matches_brute_force_in_any_order(stages):
+    pair = canonical_pair()
+    for stage in stages:
+        left, right = _brute_sides(stage)
+        assert pair.left.at(stage) == left
+        assert pair.right.at(stage) == right
+        for n in range(stage + 2):
+            for side, members in (("left", left), ("right", right)):
+                want = "in" if n in members else "unknown"
+                assert pair.query(side, n, stage).status == want
+
+
+def test_late_halter_enters_at_its_halt_step():
+    # program 270 halts with output 0 after 541 steps on input 270; it is the
+    # least index whose entry stage max(e, halt step) is not e itself
+    pair = canonical_pair()
+    assert 270 in pair.left.at(600)
+    for stage in (540, 541):
+        left, right = _brute_sides(stage)
+        assert pair.left.at(stage) == left
+        assert pair.right.at(stage) == right
+    assert 270 not in pair.left.at(540)
+    assert pair.query("left", 270, 540).status == "unknown"
+    assert pair.query("left", 270, 541).status == "in"
+
+
+_instructions = st.one_of(
+    st.just(("halt",)),
+    st.tuples(st.just("inc"), st.integers(0, 3)),
+    st.tuples(st.just("decjz"), st.integers(0, 3), st.integers(0, 7)),
+)
+
+
+@given(st.lists(_instructions, max_size=7), st.integers(0, 5),
+       st.lists(st.integers(0, 40), max_size=8))
+def test_resumed_run_ends_where_one_shot_run_ends(instrs, x, chunks):
+    program = Program(tuple(instrs))
+    resumed = MachineRun(program, x)
+    for chunk in chunks:
+        got = resumed.advance(chunk)
+    total = sum(chunks)
+    one_shot = MachineRun(program, x)
+    want = one_shot.advance(total)
+    assert want == run_bounded(program, x, total)
+    if chunks:
+        assert got == want
+    assert (resumed.pc, resumed.registers, resumed.steps) == \
+        (one_shot.pc, one_shot.registers, one_shot.steps)
