@@ -10,6 +10,7 @@ All outputs are byte-stable for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -341,7 +342,9 @@ def _do_stress(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared thereafter."""
     top = argparse.ArgumentParser(
         prog="weakarith",
         description="workbench for weak arithmetic theories")

@@ -11,7 +11,9 @@ Program counter past the last instruction also halts. Executed inc/decjz
 instructions each cost one step; reaching halt (or falling off the end) is
 free, so the empty program halts within 0 steps. A `MachineRun` holds the
 state of one run (program counter, registers, steps used) and can stop after
-any number of steps and resume later; `run_bounded` is a fresh run.
+any number of steps and resume later; `run_bounded` is a fresh run. A run
+that reaches a `decjz r t` jumping to itself with r zero can never leave it,
+so it spends its whole remaining budget at once instead of step by step.
 
 Program numbering:
 
@@ -102,6 +104,11 @@ class MachineRun:
             else:  # decjz
                 r = op[1]
                 if regs[r] == 0:
+                    if op[2] == pc:
+                        # jumps to itself with r still zero: nothing can
+                        # change again, so the rest of the budget is spent
+                        left = 0
+                        continue
                     pc = op[2]
                 else:
                     regs[r] -= 1

@@ -3,11 +3,23 @@
 The search walks structures of increasing size; within a size it fills
 interpretation tables cell by cell in a fixed order (functions before
 relations, each group sorted by arity then name, cells row-major, values
-ascending).  A three-valued evaluator prunes branches whose partial
-tables already falsify an axiom, and every pruned branch adds its whole
-block of completions to the examined counter, so on a failed search the
-counter equals the closed-form structure count.  The first completed
-witness is therefore the lexicographically least one.
+ascending).  Every pruned branch adds its whole block of completions to
+the examined counter, so on a failed search the counter equals the
+closed-form structure count.  The first completed witness is therefore
+the lexicographically least one.
+
+Pruning uses Kleene's three-valued logic over the partial tables: an
+unfilled cell reads None, and a formula is True or False only when every
+way of filling its unknown cells agrees.  For each size, every axiom is
+compiled once into nested closures that read the flat tables in place;
+bound variables live in a slot list indexed by quantifier depth.  Each
+search node inherits the statuses its parent computed and re-evaluates
+only the axioms still unknown that mention the symbol of the cell just
+filled; an axiom's value depends on its own symbols' cells alone.  An
+axiom that is True is never checked again: filling a cell only replaces
+an unknown by a value, and a Kleene value that is already known stays
+the same when its unknowns become known.  A node where an axiom is False
+is pruned, and a node where every axiom is True is a witness.
 """
 
 from __future__ import annotations
@@ -17,12 +29,10 @@ from dataclasses import dataclass
 from .structures import FiniteStructure
 from .syntax import (
     And,
-    App,
     Eq,
     Exists,
     Falsum,
     ForAll,
-    Formula,
     Implies,
     LanguageError,
     Not,
@@ -35,12 +45,14 @@ from .syntax import (
 )
 
 
-def fragment_symbols(axioms) -> tuple[dict[str, int], dict[str, int]]:
-    """Occurring (relation, function) arities across a list of sentences."""
+def _symbol_tables(axioms):
+    """Merged (relation, function) arities, and each axiom's symbol names."""
     rels: dict[str, int] = {}
     funs: dict[str, int] = {}
+    mentioned = []
     for phi in axioms:
         r, f = symbols_of(phi)
+        mentioned.append(r.keys() | f.keys())
         for table, found in ((rels, r), (funs, f)):
             for name, arity in found.items():
                 old = table.get(name)
@@ -51,6 +63,12 @@ def fragment_symbols(axioms) -> tuple[dict[str, int], dict[str, int]]:
     shared = rels.keys() & funs.keys()
     if shared:
         raise LanguageError(f"symbols used both ways: {sorted(shared)}")
+    return rels, funs, mentioned
+
+
+def fragment_symbols(axioms) -> tuple[dict[str, int], dict[str, int]]:
+    """Occurring (relation, function) arities across a list of sentences."""
+    rels, funs, _ = _symbol_tables(axioms)
     return rels, funs
 
 
@@ -77,94 +95,140 @@ class SearchOutcome:
     reports: tuple[SizeReport, ...]
 
 
-class _Partial:
-    """Three-valued evaluator over in-progress tables (None = unknown)."""
+def _compile(phi, k: int, funtabs, reltabs):
+    """A no-argument closure giving the sentence's Kleene value (None = unknown)."""
+    env: list[int] = []
 
-    def __init__(self, k: int, funtabs, reltabs):
-        self.k = k
-        self.funtabs = funtabs
-        self.reltabs = reltabs
-        self.sigma: dict[str, int] = {}
-
-    def term(self, t):
+    def term(t, scope):
         if isinstance(t, Var):
-            return self.sigma[t.name]
-        idx = 0
-        for a in t.args:
-            v = self.term(a)
-            if v is None:
-                return None
-            idx = idx * self.k + v
-        return self.funtabs[t.name][idx]
+            slot = scope[t.name]
+            return lambda: env[slot]
+        return entry(funtabs[t.name], t.args, scope)
 
-    def formula(self, f):
-        if isinstance(f, Rel):
-            idx = 0
-            for a in f.args:
-                v = self.term(a)
-                if v is None:
-                    return None
-                idx = idx * self.k + v
-            return self.reltabs[f.name][idx]
-        if isinstance(f, Eq):
-            left = self.term(f.left)
-            right = self.term(f.right)
-            if left is None or right is None:
+    def entry(tab, args, scope):
+        # the table cell at the arguments' row-major index; a variable
+        # argument is read from its slot, as it is never unknown
+        if not args:
+            return lambda: tab[0]
+        if len(args) > 2:
+            parts = [term(a, scope) for a in args]
+
+            def nary():
+                idx = 0
+                for f in parts:
+                    v = f()
+                    if v is None:
+                        return None
+                    idx = idx * k + v
+                return tab[idx]
+            return nary
+        slots = [scope[a.name] if isinstance(a, Var) else None for a in args]
+        parts = [None if isinstance(a, Var) else term(a, scope) for a in args]
+        if len(args) == 1:
+            (i,), (f,) = slots, parts
+            if f is None:
+                return lambda: tab[env[i]]
+
+            def unary():
+                a = f()
+                return None if a is None else tab[a]
+            return unary
+        (i, j), (f, g) = slots, parts
+        if f is None and g is None:
+            return lambda: tab[env[i] * k + env[j]]
+        if f is None:
+            def var_left():
+                b = g()
+                return None if b is None else tab[env[i] * k + b]
+            return var_left
+        if g is None:
+            def var_right():
+                a = f()
+                return None if a is None else tab[a * k + env[j]]
+            return var_right
+
+        def binary():
+            a = f()
+            if a is None:
                 return None
-            return left == right
+            b = g()
+            return None if b is None else tab[a * k + b]
+        return binary
+
+    def formula(f, scope, depth):
+        if isinstance(f, Rel):
+            return entry(reltabs[f.name], f.args, scope)
+        if isinstance(f, Eq):
+            left, right = term(f.left, scope), term(f.right, scope)
+            if isinstance(f.right, Var):
+                slot = scope[f.right.name]
+
+                def eq_var():
+                    a = left()
+                    return None if a is None else a == env[slot]
+                return eq_var
+
+            def eq():
+                a = left()
+                if a is None:
+                    return None
+                b = right()
+                return None if b is None else a == b
+            return eq
         if isinstance(f, Verum):
-            return True
+            return lambda: True
         if isinstance(f, Falsum):
-            return False
+            return lambda: False
         if isinstance(f, Not):
-            got = self.formula(f.body)
-            return None if got is None else not got
-        if isinstance(f, And):
-            left = self.formula(f.left)
-            if left is False:
-                return False
-            right = self.formula(f.right)
-            if right is False:
-                return False
-            return None if left is None or right is None else True
-        if isinstance(f, Or):
-            left = self.formula(f.left)
-            if left is True:
-                return True
-            right = self.formula(f.right)
-            if right is True:
-                return True
-            return None if left is None or right is None else False
-        if isinstance(f, Implies):
-            left = self.formula(f.left)
-            if left is False:
-                return True
-            right = self.formula(f.right)
-            if right is True:
-                return True
-            return None if left is None or right is None else False
+            body = formula(f.body, scope, depth)
+
+            def neg():
+                got = body()
+                return None if got is None else not got
+            return neg
+        if isinstance(f, (And, Or, Implies)):
+            left = formula(f.left, scope, depth)
+            right = formula(f.right, scope, depth)
+            # the left side at `stop` makes the value `stopped`; the right
+            # side at `wins` makes it `wins`; otherwise two known sides
+            # give `both`
+            stop, stopped, wins, both = {And: (False, False, False, True),
+                                         Or: (True, True, True, False),
+                                         Implies: (False, True, True, False)}[type(f)]
+
+            def connective():
+                a = left()
+                if a is stop:
+                    return stopped
+                b = right()
+                if b is wins:
+                    return wins
+                return None if a is None or b is None else both
+            return connective
         if isinstance(f, (ForAll, Exists)):
-            want = not isinstance(f, ForAll)
-            saw_unknown = False
-            old = self.sigma.get(f.var, _MISSING)
-            try:
-                for a in range(self.k):
-                    self.sigma[f.var] = a
-                    got = self.formula(f.body)
+            # one slot per quantifier depth: a re-bound name gets a fresh
+            # slot, and the outer binding's slot is left untouched
+            slot = depth
+            if len(env) <= slot:
+                env.append(0)
+            body = formula(f.body, {**scope, f.var: slot}, depth + 1)
+            want = isinstance(f, Exists)
+            universe = range(k)
+
+            def quantifier():
+                unknown = False
+                for a in universe:
+                    env[slot] = a
+                    got = body()
                     if got is want:
                         return want
                     if got is None:
-                        saw_unknown = True
-                return None if saw_unknown else not want
-            finally:
-                if old is _MISSING:
-                    self.sigma.pop(f.var, None)
-                else:
-                    self.sigma[f.var] = old
+                        unknown = True
+                return None if unknown else not want
+            return quantifier
         raise LanguageError(f"not a formula: {f!r}")
 
-
-_MISSING = object()
+    return formula(phi, {}, 0)
 
 
 def _unfold(idx: int, arity: int, k: int) -> tuple[int, ...]:
@@ -175,7 +239,7 @@ def _unfold(idx: int, arity: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _search_at_size(axioms, k, rels, funs, symmetry_breaking):
+def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
     funtabs = {name: [None] * (k ** a) for name, a in funs.items()}
     reltabs = {name: [None] * (k ** a) for name, a in rels.items()}
     cells: list[tuple[str, str, int]] = []
@@ -189,18 +253,24 @@ def _search_at_size(axioms, k, rels, funs, symmetry_breaking):
     for p in reversed(range(len(cells))):
         suffix[p] = suffix[p + 1] * domain[p]
 
-    checker = _Partial(k, funtabs, reltabs)
+    checks = [_compile(ax, k, funtabs, reltabs) for ax in axioms]
+    # per symbol, the indices of the axioms that mention it
+    users = {name: {j for j, names in enumerate(mentioned) if name in names}
+             for name in (*funs, *rels)}
     examined = 0
 
-    def status():
-        all_true = True
-        for ax in axioms:
-            got = checker.formula(ax)
-            if got is False:
-                return False
-            if got is not True:
-                all_true = False
-        return True if all_true else None
+    def recheck(pending, touched):
+        """Axioms still unknown after a change to `touched`; None if one fails."""
+        still = []
+        for j in pending:
+            if j in touched:
+                got = checks[j]()
+                if got is False:
+                    return None
+                if got is True:
+                    continue
+            still.append(j)
+        return still
 
     def freeze() -> FiniteStructure:
         fns = {name: tuple(tab) for name, tab in funtabs.items()}
@@ -209,15 +279,12 @@ def _search_at_size(axioms, k, rels, funs, symmetry_breaking):
                for name, tab in reltabs.items()}
         return FiniteStructure(k, fns, rls)
 
-    def dfs(p: int):
+    def dfs(p: int, pending):
         nonlocal examined
-        st = status()
-        if st is False:
-            examined += suffix[p]
-            return None
-        if st is True:
-            # remaining cells are unconstrained; the least completion
-            # zeroes every function cell and leaves relations empty
+        if not pending:
+            # every axiom is true and the remaining cells are unconstrained;
+            # the least completion zeroes every function cell and leaves
+            # relations empty
             filled = cells[p:]
             for kind, name, i in filled:
                 (funtabs if kind == "fun" else reltabs)[name][i] = \
@@ -229,20 +296,36 @@ def _search_at_size(axioms, k, rels, funs, symmetry_breaking):
             return witness
         kind, name, i = cells[p]
         tab = funtabs[name] if kind == "fun" else reltabs[name]
+        touched = users[name]
         values = range(k) if kind == "fun" else (False, True)
         if p == 0 and symmetry_breaking and kind == "fun" and funs[name] == 0:
             # any witness can be renamed so the first constant is 0
             values = (0,)
         for v in values:
             tab[i] = v
-            got = dfs(p + 1)
+            still = recheck(pending, touched)
+            if still is None:
+                examined += suffix[p + 1]
+                continue
+            got = dfs(p + 1, still)
             if got is not None:
                 tab[i] = None
                 return got
         tab[i] = None
         return None
 
-    return dfs(0), examined
+    everything = range(len(axioms))
+    pending = recheck(everything, everything)
+    if pending is None:
+        return None, suffix[0]
+    return dfs(0, pending), examined
+
+
+def _symbols_of_sentences(axioms):
+    for phi in axioms:
+        if free_variables(phi):
+            raise LanguageError("model search expects sentences")
+    return _symbol_tables(axioms)
 
 
 def model_search(axioms, max_size: int,
@@ -253,14 +336,12 @@ def model_search(axioms, max_size: int,
     whenever no witness exists at that size and symmetry breaking is off.
     """
     axioms = list(axioms)
-    for phi in axioms:
-        if free_variables(phi):
-            raise LanguageError("model search expects sentences")
-    rels, funs = fragment_symbols(axioms)
+    rels, funs, mentioned = _symbols_of_sentences(axioms)
     reports = []
     witness = None
     for k in range(1, max_size + 1):
-        found, examined = _search_at_size(axioms, k, rels, funs, symmetry_breaking)
+        found, examined = _search_at_size(axioms, k, rels, funs, mentioned,
+                                          symmetry_breaking)
         reports.append(SizeReport(k, examined, closed_form_count(rels, funs, k)))
         if found is not None:
             witness = found
@@ -282,11 +363,24 @@ class PrefixRow:
 
 def check_local_finsat(theory, first_k: int, max_size: int,
                        symmetry_breaking: bool = False) -> tuple[PrefixRow, ...]:
-    """find_model over each prefix of the theory's first k axioms."""
+    """find_model over each prefix of the theory's first k axioms.
+
+    Adding an axiom only removes models, so each prefix's search starts at
+    the size of the previous prefix's witness, and once a prefix has no
+    model up to max_size no longer prefix has one either.
+    """
     rows = []
     axioms = []
+    k = 1
     for i in range(first_k):
         axioms.append(theory.axiom_of(i))
-        got = find_model(axioms, max_size, symmetry_breaking)
-        rows.append(PrefixRow(i + 1, got.size if got else None, got))
+        rels, funs, mentioned = _symbols_of_sentences(axioms)
+        witness = None
+        while k <= max_size:
+            witness, _ = _search_at_size(axioms, k, rels, funs, mentioned,
+                                         symmetry_breaking)
+            if witness is not None:
+                break
+            k += 1
+        rows.append(PrefixRow(i + 1, k if witness is not None else None, witness))
     return tuple(rows)

@@ -284,3 +284,28 @@ def test_too_deep_numeral_is_an_error_line_not_a_traceback(capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_first_calls(capsys):
+    from weakarith.cli import build_parser
+
+    calls = [["axioms", "R", "--no-such-flag"],
+             ["parse", "--text", "(= 0 0)", "--lang", "Q", "--summary"],
+             ["axioms", "Q", "--count", "2", "--summary"]]
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in first] == [2, 0, 0]
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert [_outcome(argv, capsys) for argv in calls] == first

@@ -194,3 +194,41 @@ def test_resumed_run_ends_where_one_shot_run_ends(instrs, x, chunks):
         assert got == want
     assert (resumed.pc, resumed.registers, resumed.steps) == \
         (one_shot.pc, one_shot.registers, one_shot.steps)
+
+
+def _reference_advance(state, instrs, steps):
+    """One instruction per step, as the machine model defines it."""
+    pc, regs, used = state
+    while pc < len(instrs) and instrs[pc][0] != "halt":
+        if steps == 0:
+            return (pc, regs, used), None
+        steps -= 1
+        used += 1
+        op = instrs[pc]
+        if op[0] == "inc":
+            regs[op[1]] += 1
+            pc += 1
+        elif regs[op[1]] == 0:
+            pc = op[2]
+        else:
+            regs[op[1]] -= 1
+            pc += 1
+    return (pc, regs, used), regs[0]
+
+
+_with_self_jumps = st.lists(
+    st.one_of(_instructions, st.tuples(st.just("self"), st.integers(0, 3))),
+    min_size=1, max_size=7,
+).map(lambda ops: tuple(("decjz", op[1], i) if op[0] == "self" else op
+                        for i, op in enumerate(ops)))
+
+
+@given(_with_self_jumps, st.integers(0, 5), st.lists(st.integers(0, 40), max_size=8))
+def test_self_jump_fast_forward_matches_plain_stepping(instrs, x, chunks):
+    run = MachineRun(Program(instrs), x)
+    state = (0, list(run.registers), 0)
+    for chunk in chunks:
+        got = run.advance(chunk)
+        state, want = _reference_advance(state, instrs, chunk)
+        assert got == want
+        assert (run.pc, run.registers, run.steps) == state

@@ -1,17 +1,36 @@
 """Exhaustive finite model search."""
 
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from weakarith.modelsearch import (
+    SizeReport,
     check_local_finsat,
     closed_form_count,
     find_model,
     fragment_symbols,
     model_search,
 )
-from weakarith.sexpr import parse_formula
-from weakarith.structures import eval_formula
-from weakarith.syntax import LanguageError
+from weakarith.sexpr import infer_language, parse_formula
+from weakarith.structures import FiniteStructure, eval_formula
+from weakarith.syntax import (
+    And,
+    App,
+    Eq,
+    Exists,
+    Falsum,
+    ForAll,
+    Implies,
+    LanguageError,
+    Not,
+    Or,
+    Rel,
+    Var,
+    Verum,
+    free_variables,
+)
 from weakarith.theories import get_language, get_theory
 
 LANG_EQ = get_language("eq")
@@ -29,7 +48,6 @@ def test_closed_form_count():
 
 
 def test_fragment_symbols_collects_and_checks():
-    from weakarith.sexpr import infer_language
     axs = _eq("(forall x (E x x))", "(exists x (exists y (not (E x y))))")
     rels, funs = fragment_symbols(axs)
     assert rels == {"E": 2} and funs == {}
@@ -90,3 +108,130 @@ def test_function_tables_are_searched():
     m = find_model(axs, 3)
     assert m is not None and m.size == 2
     assert eval_formula(m, axs[0]) and eval_formula(m, axs[1])
+
+
+@pytest.mark.parametrize("symmetry_breaking", [False, True])
+def test_check_local_finsat_rows_equal_per_prefix_find_model(symmetry_breaking):
+    for name, first_k, max_size in (("R", 14, 4), ("PA-", 12, 2)):
+        theory = get_theory(name)
+        rows = check_local_finsat(theory, first_k, max_size, symmetry_breaking)
+        for i, row in enumerate(rows):
+            axioms = [theory.axiom_of(j) for j in range(i + 1)]
+            want = find_model(axioms, max_size, symmetry_breaking)
+            assert row.prefix_length == i + 1
+            assert row.witness == want
+            assert row.witness_size == (want.size if want is not None else None)
+    # the R rows grow from size 1 to 2, and the PA- rows end without a model
+    assert [r.witness_size for r in check_local_finsat(get_theory("R"), 3, 4)] == [1, 1, 2]
+    assert check_local_finsat(get_theory("PA-"), 12, 2)[-1].witness is None
+
+
+# --- the compiled search against a naive enumeration -------------------------
+
+def _naive_search(axioms, max_size, symmetry_breaking=False):
+    """Every structure in the documented order, each checked by eval_formula."""
+    rels, funs = fragment_symbols(axioms)
+    by_arity = lambda kv: (kv[1], kv[0])
+    reports = []
+    for k in range(1, max_size + 1):
+        layout = [(name, a, range(k)) for name, a in sorted(funs.items(), key=by_arity)]
+        layout += [(name, a, (False, True)) for name, a in sorted(rels.items(), key=by_arity)]
+        domains = [values for _, a, values in layout for _ in range(k ** a)]
+        total = 1
+        for values in domains:
+            total *= len(values)
+        if symmetry_breaking and funs and layout[0][1] == 0:
+            domains[0] = (0,)
+        examined = 0
+        for cells in itertools.product(*domains):
+            examined += 1
+            functions, relations, at = {}, {}, 0
+            for name, a, _ in layout:
+                row = cells[at:at + k ** a]
+                at += k ** a
+                if name in funs:
+                    functions[name] = tuple(row)
+                else:
+                    points = itertools.product(range(k), repeat=a)
+                    relations[name] = frozenset(p for p, v in zip(points, row) if v)
+            structure = FiniteStructure(k, functions, relations)
+            if all(eval_formula(structure, phi) for phi in axioms):
+                reports.append(SizeReport(k, examined, total))
+                return structure, tuple(reports)
+        reports.append(SizeReport(k, examined, total))
+    return None, tuple(reports)
+
+
+_VARS = ("x", "y", "z")
+
+
+@st.composite
+def _tiny_axioms(draw):
+    """Sentences over c, f and one or two relations of arity at most 2."""
+    arity = {name: draw(st.integers(0, 2))
+             for name in draw(st.sampled_from([("P",), ("P", "Q")]))}
+
+    def term(depth):
+        if depth and draw(st.booleans()):
+            return App("f", (term(depth - 1),))
+        return draw(st.sampled_from([Var(v) for v in _VARS] + [App("c")]))
+
+    def formula(depth):
+        kind = draw(st.integers(0, 8 if depth else 1))
+        if kind == 0:
+            name = draw(st.sampled_from(sorted(arity)))
+            return Rel(name, tuple(term(1) for _ in range(arity[name])))
+        if kind == 1:
+            return Eq(term(1), term(1))
+        if kind == 2:
+            return draw(st.sampled_from([Verum(), Falsum(), Eq(term(1), term(1))]))
+        if kind == 3:
+            return Not(formula(depth - 1))
+        if kind in (4, 5, 6):
+            return (And, Or, Implies)[kind - 4](formula(depth - 1), formula(depth - 1))
+        quantifier = ForAll if kind == 7 else Exists
+        return quantifier(draw(st.sampled_from(_VARS)), formula(depth - 1))
+
+    # half the cases rule out size 1, so that larger sizes are searched
+    axioms = [Exists("x", Exists("y", Not(Eq(Var("x"), Var("y")))))] \
+        if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 3))):
+        phi = formula(3)
+        for v in sorted(free_variables(phi)):
+            phi = draw(st.sampled_from([ForAll, Exists]))(v, phi)
+        axioms.append(phi)
+    return axioms
+
+
+def _size_cap(axioms, largest=3, most_structures=4096):
+    rels, funs = fragment_symbols(axioms)
+    size = 1
+    while size < largest and closed_form_count(rels, funs, size + 1) <= most_structures:
+        size += 1
+    return size
+
+
+@given(_tiny_axioms(), st.booleans())
+def test_compiled_search_matches_naive_enumeration(axioms, symmetry_breaking):
+    max_size = _size_cap(axioms)
+    outcome = model_search(axioms, max_size, symmetry_breaking)
+    witness, reports = _naive_search(axioms, max_size, symmetry_breaking)
+    assert outcome.witness == witness
+    if symmetry_breaking:
+        # a branch pruned before any cell is filled counts every structure
+        assert [r.size for r in outcome.reports] == [r.size for r in reports]
+    else:
+        assert outcome.reports == reports
+
+
+@pytest.mark.parametrize("text", [
+    "(forall x (exists y (forall x (or (R x y) (exists z (R z x))))))",
+    "(exists x (forall y (exists x (and (R x y) (forall z (or (R y z) (R z x)))))))",
+    "(forall x (forall x (exists y (forall z (-> (R z x) (R y z))))))",
+])
+def test_shadowed_and_renested_variables(text):
+    # the irreflexive axiom rules out size 1, where most sentences agree
+    lang = infer_language([text])
+    axioms = [parse_formula("(forall w (not (R w w)))", lang), parse_formula(text, lang)]
+    outcome = model_search(axioms, 3)
+    assert (outcome.witness, outcome.reports) == _naive_search(axioms, 3)
