@@ -106,67 +106,43 @@ def _compile(phi, k: int, funtabs, reltabs):
         return entry(funtabs[t.name], t.args, scope)
 
     def entry(tab, args, scope):
-        # the table cell at the arguments' row-major index; a variable
-        # argument is read from its slot, as it is never unknown
+        # the table cell at the arguments' row-major index
         if not args:
             return lambda: tab[0]
-        if len(args) > 2:
-            parts = [term(a, scope) for a in args]
-
-            def nary():
-                idx = 0
-                for f in parts:
-                    v = f()
-                    if v is None:
-                        return None
-                    idx = idx * k + v
-                return tab[idx]
-            return nary
-        slots = [scope[a.name] if isinstance(a, Var) else None for a in args]
-        parts = [None if isinstance(a, Var) else term(a, scope) for a in args]
-        if len(args) == 1:
-            (i,), (f,) = slots, parts
-            if f is None:
-                return lambda: tab[env[i]]
+        parts = [term(a, scope) for a in args]
+        if len(parts) == 1:
+            (f,) = parts
 
             def unary():
                 a = f()
                 return None if a is None else tab[a]
             return unary
-        (i, j), (f, g) = slots, parts
-        if f is None and g is None:
-            return lambda: tab[env[i] * k + env[j]]
-        if f is None:
-            def var_left():
-                b = g()
-                return None if b is None else tab[env[i] * k + b]
-            return var_left
-        if g is None:
-            def var_right():
-                a = f()
-                return None if a is None else tab[a * k + env[j]]
-            return var_right
+        if len(parts) == 2:
+            f, g = parts
 
-        def binary():
-            a = f()
-            if a is None:
-                return None
-            b = g()
-            return None if b is None else tab[a * k + b]
-        return binary
+            def binary():
+                a = f()
+                if a is None:
+                    return None
+                b = g()
+                return None if b is None else tab[a * k + b]
+            return binary
+
+        def nary():
+            idx = 0
+            for f in parts:
+                v = f()
+                if v is None:
+                    return None
+                idx = idx * k + v
+            return tab[idx]
+        return nary
 
     def formula(f, scope, depth):
         if isinstance(f, Rel):
             return entry(reltabs[f.name], f.args, scope)
         if isinstance(f, Eq):
             left, right = term(f.left, scope), term(f.right, scope)
-            if isinstance(f.right, Var):
-                slot = scope[f.right.name]
-
-                def eq_var():
-                    a = left()
-                    return None if a is None else a == env[slot]
-                return eq_var
 
             def eq():
                 a = left()
@@ -321,13 +297,6 @@ def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
     return dfs(0, pending), examined
 
 
-def _symbols_of_sentences(axioms):
-    for phi in axioms:
-        if free_variables(phi):
-            raise LanguageError("model search expects sentences")
-    return _symbol_tables(axioms)
-
-
 def model_search(axioms, max_size: int,
                  symmetry_breaking: bool = False) -> SearchOutcome:
     """Search sizes 1..max_size; stop at the first (least) witness.
@@ -336,7 +305,10 @@ def model_search(axioms, max_size: int,
     whenever no witness exists at that size and symmetry breaking is off.
     """
     axioms = list(axioms)
-    rels, funs, mentioned = _symbols_of_sentences(axioms)
+    for phi in axioms:
+        if free_variables(phi):
+            raise LanguageError("model search expects sentences")
+    rels, funs, mentioned = _symbol_tables(axioms)
     reports = []
     witness = None
     for k in range(1, max_size + 1):
@@ -363,24 +335,11 @@ class PrefixRow:
 
 def check_local_finsat(theory, first_k: int, max_size: int,
                        symmetry_breaking: bool = False) -> tuple[PrefixRow, ...]:
-    """find_model over each prefix of the theory's first k axioms.
-
-    Adding an axiom only removes models, so each prefix's search starts at
-    the size of the previous prefix's witness, and once a prefix has no
-    model up to max_size no longer prefix has one either.
-    """
+    """find_model over each prefix of the theory's first k axioms."""
     rows = []
     axioms = []
-    k = 1
     for i in range(first_k):
         axioms.append(theory.axiom_of(i))
-        rels, funs, mentioned = _symbols_of_sentences(axioms)
-        witness = None
-        while k <= max_size:
-            witness, _ = _search_at_size(axioms, k, rels, funs, mentioned,
-                                         symmetry_breaking)
-            if witness is not None:
-                break
-            k += 1
-        rows.append(PrefixRow(i + 1, k if witness is not None else None, witness))
+        got = find_model(axioms, max_size, symmetry_breaking)
+        rows.append(PrefixRow(i + 1, got.size if got else None, got))
     return tuple(rows)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from weakarith.modelsearch import (
     SizeReport,
+    _compile,
     check_local_finsat,
     closed_form_count,
     find_model,
@@ -110,20 +111,59 @@ def test_function_tables_are_searched():
     assert eval_formula(m, axs[0]) and eval_formula(m, axs[1])
 
 
-@pytest.mark.parametrize("symmetry_breaking", [False, True])
-def test_check_local_finsat_rows_equal_per_prefix_find_model(symmetry_breaking):
-    for name, first_k, max_size in (("R", 14, 4), ("PA-", 12, 2)):
-        theory = get_theory(name)
-        rows = check_local_finsat(theory, first_k, max_size, symmetry_breaking)
-        for i, row in enumerate(rows):
-            axioms = [theory.axiom_of(j) for j in range(i + 1)]
-            want = find_model(axioms, max_size, symmetry_breaking)
-            assert row.prefix_length == i + 1
-            assert row.witness == want
-            assert row.witness_size == (want.size if want is not None else None)
-    # the R rows grow from size 1 to 2, and the PA- rows end without a model
-    assert [r.witness_size for r in check_local_finsat(get_theory("R"), 3, 4)] == [1, 1, 2]
-    assert check_local_finsat(get_theory("PA-"), 12, 2)[-1].witness is None
+# --- the compiled evaluator on hand-built partial tables ----------------------
+
+_TRUTH = (True, False, None)
+
+
+def _all(values):
+    """Kleene conjunction: one False decides, else one unknown leaves it open."""
+    return False if False in values else None if None in values else True
+
+
+def _neg(value):
+    return None if value is None else not value
+
+
+def _any(values):
+    return _neg(_all([_neg(v) for v in values]))
+
+
+@pytest.mark.parametrize("a", _TRUTH)
+@pytest.mark.parametrize("b", _TRUTH)
+def test_compiled_connectives_are_kleene(a, b):
+    p, q = Rel("P", ()), Rel("Q", ())
+    value = lambda phi: _compile(phi, 1, {}, {"P": [a], "Q": [b]})()
+    assert value(Not(p)) is _neg(a)
+    assert value(And(p, q)) is _all([a, b])
+    assert value(Or(p, q)) is _any([a, b])
+    assert value(Implies(p, q)) is _any([_neg(a), b])
+
+
+@pytest.mark.parametrize("row", list(itertools.product(_TRUTH, repeat=3)))
+def test_compiled_quantifiers_look_past_unknown_instances(row):
+    # e.g. R = [None, True, False]: the second instance makes (exists x (R x)) true
+    r = Rel("R", (Var("x"),))
+    value = lambda phi: _compile(phi, 3, {}, {"R": list(row)})()
+    assert value(ForAll("x", r)) is _all(row)
+    assert value(Exists("x", r)) is _any(row)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(exists x (E (c) x))", True),                      # E(1, 0)
+    ("(exists x (E x (c)))", None),                      # E(0, 1) false, E(1, 1) unknown
+    ("(forall x (E (f x) x))", False),                 # f(0) unknown, E(f(1), 1) = E(0, 1)
+    ("(exists x (= (f x) (c)))", None),                  # f(0) unknown, f(1) = 0 is not c
+    ("(exists x (= x (f x)))", None),
+    ("(forall x (forall y (-> (E x y) (= x y))))", False),   # E(1, 0)
+    ("(forall x (exists y (E y x)))", None),           # x = 1: E(0, 1) false, E(1, 1) unknown
+    ("(exists x (exists y (and (E x y) (not (= x y)))))", True),
+])
+def test_compiled_lookups_read_row_major_cells(text, want):
+    # size 2: c = 1, f = [unknown, 0], E's cell for (a, b) is 2a + b
+    phi = parse_formula(text, infer_language([text]))
+    tables = {"c": [1], "f": [None, 0]}, {"E": [None, False, True, None]}
+    assert _compile(phi, 2, *tables)() is want
 
 
 # --- the compiled search against a naive enumeration -------------------------
