@@ -19,8 +19,8 @@ from .machines import OraclePair
 from .structures import FiniteStructure
 from .syntax import (
     And,
+    App,
     Eq,
-    Exists,
     Falsum,
     ForAll,
     Formula,
@@ -28,9 +28,9 @@ from .syntax import (
     Not,
     Or,
     Rel,
-    Var,
     Verum,
     free_variables,
+    walk,
 )
 
 
@@ -56,33 +56,14 @@ def relation_name_of(phi: Formula) -> str:
     names, or a relation used at arity other than two.
     """
     names: set[str] = set()
-
-    def scan(f: Formula) -> None:
-        if isinstance(f, Rel):
-            if len(f.args) != 2:
+    for node, _ in walk(phi):
+        if type(node) is Rel:
+            if len(node.args) != 2:
                 raise WrongLanguageError(
-                    f"relation {f.name!r} used at arity {len(f.args)}, want 2")
-            names.add(f.name)
-            for a in f.args:
-                if not isinstance(a, Var):
-                    raise WrongLanguageError("terms must be plain variables")
-        elif isinstance(f, Eq):
-            for a in (f.left, f.right):
-                if not isinstance(a, Var):
-                    raise WrongLanguageError("terms must be plain variables")
-        elif isinstance(f, (Verum, Falsum)):
-            pass
-        elif isinstance(f, Not):
-            scan(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            scan(f.left)
-            scan(f.right)
-        elif isinstance(f, (ForAll, Exists)):
-            scan(f.body)
-        else:
-            raise WrongLanguageError(f"not a formula: {f!r}")
-
-    scan(phi)
+                    f"relation {node.name!r} used at arity {len(node.args)}, want 2")
+            names.add(node.name)
+        elif type(node) is App:
+            raise WrongLanguageError("terms must be plain variables")
     if len(names) > 1:
         raise WrongLanguageError(f"several relation symbols: {sorted(names)}")
     return names.pop() if names else DEFAULT_RELATION
@@ -91,17 +72,7 @@ def relation_name_of(phi: Formula) -> str:
 def rank(phi: Formula) -> int:
     """Quantifier nesting depth of a one-binary-relation sentence."""
     relation_name_of(phi)
-
-    def depth(f: Formula) -> int:
-        if isinstance(f, (Rel, Eq, Verum, Falsum)):
-            return 0
-        if isinstance(f, Not):
-            return depth(f.body)
-        if isinstance(f, (And, Or, Implies)):
-            return max(depth(f.left), depth(f.right))
-        return 1 + depth(f.body)
-
-    return depth(phi)
+    return max(len(bound) for _, bound in walk(phi))
 
 
 # --- profiles ------------------------------------------------------------

@@ -41,6 +41,7 @@ from .syntax import (
     Var,
     Verum,
     free_variables,
+    note_arity,
     symbols_of,
 )
 
@@ -55,11 +56,7 @@ def _symbol_tables(axioms):
         mentioned.append(r.keys() | f.keys())
         for table, found in ((rels, r), (funs, f)):
             for name, arity in found.items():
-                old = table.get(name)
-                if old is not None and old != arity:
-                    raise LanguageError(
-                        f"symbol {name!r} used at arities {old} and {arity}")
-                table[name] = arity
+                note_arity(table, name, arity)
     shared = rels.keys() & funs.keys()
     if shared:
         raise LanguageError(f"symbols used both ways: {sorted(shared)}")
@@ -228,6 +225,10 @@ def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
     suffix = [1] * (len(cells) + 1)
     for p in reversed(range(len(cells))):
         suffix[p] = suffix[p + 1] * domain[p]
+    # any witness can be renamed so that the first constant is 0; symmetry
+    # breaking searches, and counts, only that value of the first cell
+    first_fixed = (symmetry_breaking and bool(cells) and cells[0][0] == "fun"
+                   and funs[cells[0][1]] == 0)
 
     checks = [_compile(ax, k, funtabs, reltabs) for ax in axioms]
     # per symbol, the indices of the axioms that mention it
@@ -274,8 +275,7 @@ def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
         tab = funtabs[name] if kind == "fun" else reltabs[name]
         touched = users[name]
         values = range(k) if kind == "fun" else (False, True)
-        if p == 0 and symmetry_breaking and kind == "fun" and funs[name] == 0:
-            # any witness can be renamed so the first constant is 0
+        if p == 0 and first_fixed:
             values = (0,)
         for v in values:
             tab[i] = v
@@ -293,7 +293,7 @@ def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
     everything = range(len(axioms))
     pending = recheck(everything, everything)
     if pending is None:
-        return None, suffix[0]
+        return None, suffix[1] if first_fixed else suffix[0]
     return dfs(0, pending), examined
 
 
@@ -303,6 +303,9 @@ def model_search(axioms, max_size: int,
 
     The per-size examined counter equals the closed-form structure count
     whenever no witness exists at that size and symmetry breaking is off.
+    With symmetry breaking on and a constant in the signature, it counts
+    the restricted space, where the first constant is 0: a k-th of the
+    structures of size k.
     """
     axioms = list(axioms)
     for phi in axioms:

@@ -28,14 +28,13 @@ from .syntax import (
     Or,
     Rel,
     Term,
-    Var,
     Verum,
     all_variable_names,
     formula_size,
     free_variables,
     substitute,
-    subterms,
     validate_formula,
+    walk,
 )
 
 
@@ -139,8 +138,6 @@ _SCHEMAS = {
 }
 
 _CONG_SCHEMAS = ("eq-cong-fun", "eq-cong-rel")
-
-SCHEMA_IDS = tuple(_SCHEMAS) + _CONG_SCHEMAS
 
 
 def _build_congruence(schema: str, args: tuple, language) -> Formula:
@@ -250,29 +247,11 @@ def _shift(steps: tuple[Step, ...], offset: int) -> list[Step]:
     return out
 
 
-def _formula_terms(phi: Formula) -> list[Term]:
-    out: list[Term] = []
-    if isinstance(phi, Rel):
-        for a in phi.args:
-            out.extend(subterms(a))
-    elif isinstance(phi, Eq):
-        out.extend(subterms(phi.left))
-        out.extend(subterms(phi.right))
-    elif isinstance(phi, Not):
-        out.extend(_formula_terms(phi.body))
-    elif isinstance(phi, (And, Or, Implies)):
-        out.extend(_formula_terms(phi.left))
-        out.extend(_formula_terms(phi.right))
-    elif isinstance(phi, (ForAll, Exists)):
-        out.extend(_formula_terms(phi.body))
-    return out
-
-
 def _instantiation_terms(goal: Formula, numeral_bound: int, language) -> list[Term]:
     from .sexpr import print_term
     from .theories import numeral
 
-    pool = _formula_terms(goal)
+    pool = [node for node, _ in walk(goal) if isinstance(node, Term)]
     pool.extend(numeral(n) for n in range(numeral_bound + 1))
     seen = []
     have = set()

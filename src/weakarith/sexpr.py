@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .syntax import (App, Eq, Exists, FALSE, ForAll, Formula, KIND_FUNCTION,
-                     KIND_RELATION, Language, Not, Rel, RESERVED, Term, TRUE,
-                     Var, And, Or, Implies, Verum, Falsum)
+                     KIND_RELATION, Language, LanguageError, Not, Rel, RESERVED,
+                     Term, TRUE, Var, And, Or, Implies, Verum, Falsum, note_arity)
 
 
 class ParseError(FormatError):
@@ -227,11 +227,26 @@ def parse_term(text: str, lang: Language) -> Term:
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
+    if isinstance(t, Var) or not t.args:
         return t.name
-    if not t.args:
-        return t.name
-    return "(" + " ".join([t.name] + [print_term(a) for a in t.args]) + ")"
+    # an explicit stack of terms and literal tokens, joined once at the end,
+    # so numerals of any depth print without recursion
+    out: list[str] = []
+    stack: list = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        if type(item) is str:
+            out.append(item)
+        elif isinstance(item, Var) or not item.args:
+            out.append(item.name)
+        else:
+            out.append("(" + item.name)
+            push(")")
+            for a in reversed(item.args):
+                push(a)
+                push(" ")
+    return "".join(out)
 
 
 def print_formula(phi: Formula) -> str:
@@ -273,10 +288,10 @@ def infer_language(texts) -> Language:
     funs: dict[str, int] = {}
 
     def note(table, name, arity, line, col):
-        old = table.get(name)
-        if old is not None and old != arity:
-            raise ParseError(f"symbol {name!r} used at arities {old} and {arity}", line, col)
-        table[name] = arity
+        try:
+            note_arity(table, name, arity)
+        except LanguageError as exc:
+            raise ParseError(str(exc), line, col) from None
 
     def scan_term(rd: "_Reader") -> None:
         tok = rd.next()

@@ -237,40 +237,69 @@ def neq(a: Term, b: Term) -> Formula:
     return Not(Eq(a, b))
 
 
+_UNBIND = object()  # stack marker: below it, the binders to restore after a body
+
+
+def walk(phi) -> Iterator[tuple[Formula | Term, tuple[str, ...]]]:
+    """Every formula and term node of phi, with the variables bound above it.
+
+    Pre-order, left to right, outermost first, over an explicit stack, so
+    deep numerals do not meet the recursion limit. The tuple lists the
+    binders from the outside in; a quantifier binds its variable in its
+    body, not at itself. Anything that is neither a formula nor a term
+    raises TypeError.
+    """
+    stack = [phi]
+    pop, push = stack.pop, stack.append
+    bound: tuple[str, ...] = ()
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is Var:
+            yield node, bound
+        elif kind is App or kind is Rel:
+            yield node, bound
+            args = node.args
+            if len(args) == 1:  # numerals are chains of unary applications
+                push(args[0])
+            else:
+                stack += args[::-1]
+        elif kind is Eq or kind is And or kind is Or or kind is Implies:
+            yield node, bound
+            push(node.right)
+            push(node.left)
+        elif kind is Not:
+            yield node, bound
+            push(node.body)
+        elif kind is ForAll or kind is Exists:
+            yield node, bound
+            push(bound)
+            push(_UNBIND)
+            bound += (node.var,)
+            push(node.body)
+        elif kind is Verum or kind is Falsum:
+            yield node, bound
+        elif node is _UNBIND:
+            bound = pop()
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+
+
 def term_variables(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return frozenset(out)
+    return frozenset(node.name for node, _ in walk(t) if type(node) is Var)
 
 
 def subterms(t: Term) -> Iterator[Term]:
     """All subterms including t itself, outermost first."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
+    return (node for node, _ in walk(t))
 
 
 def free_variables(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Rel):
-        out: set[str] = set()
-        for a in phi.args:
-            out |= term_variables(a)
-        return frozenset(out)
-    if isinstance(phi, Eq):
-        return term_variables(phi.left) | term_variables(phi.right)
-    if isinstance(phi, (Verum, Falsum)):
-        return frozenset()
-    if isinstance(phi, Not):
-        return free_variables(phi.body)
-    if isinstance(phi, _BINARY):
-        return free_variables(phi.left) | free_variables(phi.right)
-    if isinstance(phi, _QUANT):
-        return free_variables(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    names: set[str] = set()
+    for node, bound in walk(phi):
+        if type(node) is Var and node.name not in bound:
+            names.add(node.name)
+    return frozenset(names)
 
 
 def is_sentence(phi: Formula) -> bool:
@@ -279,45 +308,26 @@ def is_sentence(phi: Formula) -> bool:
 
 def all_variable_names(phi: Formula) -> frozenset[str]:
     """Every variable name occurring in phi, free or bound."""
-    if isinstance(phi, Rel):
-        out: set[str] = set()
-        for a in phi.args:
-            out |= term_variables(a)
-        return frozenset(out)
-    if isinstance(phi, Eq):
-        return term_variables(phi.left) | term_variables(phi.right)
-    if isinstance(phi, (Verum, Falsum)):
-        return frozenset()
-    if isinstance(phi, Not):
-        return all_variable_names(phi.body)
-    if isinstance(phi, _BINARY):
-        return all_variable_names(phi.left) | all_variable_names(phi.right)
-    if isinstance(phi, _QUANT):
-        return all_variable_names(phi.body) | {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    names: set[str] = set()
+    for node, _ in walk(phi):
+        kind = type(node)
+        if kind is Var:
+            names.add(node.name)
+        elif kind is ForAll or kind is Exists:
+            names.add(node.var)
+    return frozenset(names)
 
 
 def formula_size(phi: Formula) -> int:
     """Node count over the formula tree, terms included."""
+    return sum(1 for _ in walk(phi))
 
-    def tsize(t: Term) -> int:
-        if isinstance(t, Var):
-            return 1
-        return 1 + sum(tsize(a) for a in t.args)
 
-    if isinstance(phi, Rel):
-        return 1 + sum(tsize(a) for a in phi.args)
-    if isinstance(phi, Eq):
-        return 1 + tsize(phi.left) + tsize(phi.right)
-    if isinstance(phi, (Verum, Falsum)):
-        return 1
-    if isinstance(phi, Not):
-        return 1 + formula_size(phi.body)
-    if isinstance(phi, _BINARY):
-        return 1 + formula_size(phi.left) + formula_size(phi.right)
-    if isinstance(phi, _QUANT):
-        return 1 + formula_size(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+def note_arity(table: dict[str, int], name: str, arity: int) -> None:
+    """Record that name is used at arity; LanguageError if table has another."""
+    old = table.setdefault(name, arity)
+    if old != arity:
+        raise LanguageError(f"symbol {name!r} used at arities {old} and {arity}")
 
 
 def symbols_of(phi: Formula) -> tuple[dict[str, int], dict[str, int]]:
@@ -327,36 +337,13 @@ def symbols_of(phi: Formula) -> tuple[dict[str, int], dict[str, int]]:
     """
     rels: dict[str, int] = {}
     funs: dict[str, int] = {}
-
-    def note(table: dict[str, int], name: str, arity: int) -> None:
-        old = table.get(name)
-        if old is not None and old != arity:
-            raise LanguageError(f"symbol {name!r} used at arities {old} and {arity}")
-        table[name] = arity
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, App):
-            note(funs, t.name, len(t.args))
-            for a in t.args:
-                walk_term(a)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Rel):
-            note(rels, f.name, len(f.args))
-            for a in f.args:
-                walk_term(a)
-        elif isinstance(f, Eq):
-            walk_term(f.left)
-            walk_term(f.right)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, _BINARY):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, _QUANT):
-            walk(f.body)
-
-    walk(phi)
+    for node, _ in walk(phi):
+        kind = type(node)
+        if kind is App or kind is Rel:
+            table = funs if kind is App else rels
+            # a name already recorded at this arity needs no second look
+            if table.get(node.name) != len(node.args):
+                note_arity(table, node.name, len(node.args))
     return rels, funs
 
 

@@ -320,10 +320,6 @@ _SCHEME_ALIASES = {
     "t-set-axiom": "set-extent",
 }
 
-SCHEME_IDS = ("ax1", "ax2", "ax3", "ax4", "ax4e", "ax5", "induction",
-              "collection", "size-exists", "size-unique", "equivalence",
-              "set-extent")
-
 
 def scheme_instance(scheme: str, params) -> Formula:
     """Instantiate a scheme by id; params is a sequence per signature.
@@ -387,14 +383,6 @@ class Theory:
     @property
     def decidable_membership(self) -> bool:
         return self.member_fn is not None
-
-
-def axiom_of(theory: Theory, i: int) -> Formula:
-    return theory.axiom_of(i)
-
-
-def is_axiom(theory: Theory, phi: Formula) -> bool:
-    return theory.is_axiom(phi)
 
 
 # --- finite catalog theories ----------------------------------------------
@@ -758,8 +746,6 @@ def _build_catalog() -> dict[str, Theory]:
 
 
 CATALOG = _build_catalog()
-
-CATALOG_IDS = tuple(CATALOG) + ("U:<pair>", "E:<pair>", "product:<id>,<id>")
 
 
 def _split_product(text: str) -> tuple[str, str]:

@@ -6,14 +6,12 @@ translate_formula flattens function applications into graph atoms behind
 fresh existentials (innermost first, left to right), maps relation atoms
 through their templates, and relativizes every quantifier to the domain.
 Free variables are left unguarded; closing them is the caller's business.
-
-Only the one-dimensional, parameter-free, one-piece form is supported;
-the flags exist so richer forms are rejected loudly, not silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iterproduct
 from typing import Mapping
 
@@ -76,15 +74,8 @@ class Translation:
     domain: TargetTemplate
     relations: Mapping[str, TargetTemplate]
     functions: Mapping[str, TargetTemplate]
-    one_dimensional: bool = True
-    parameter_free: bool = True
-    one_piece: bool = True
 
     def __post_init__(self):
-        if not (self.one_dimensional and self.parameter_free and self.one_piece):
-            raise TranslationError(
-                "only one-dimensional, parameter-free, one-piece translations "
-                "are supported")
         if self.source.families():
             raise TranslationError("family languages cannot be translation sources")
         self._check_template("domain", self.domain, 1)
@@ -114,14 +105,14 @@ class Translation:
         """The domain formula at a given variable."""
         return self.domain.apply([Var(name)])
 
-
-def _forbidden_names(translation: Translation, phi: Formula) -> set[str]:
-    names = set(all_variable_names(phi))
-    for tpl in (translation.domain, *translation.relations.values(),
-                *translation.functions.values()):
-        names |= set(tpl.params)
-        names |= all_variable_names(tpl.body)
-    return names
+    @cached_property
+    def template_names(self) -> frozenset[str]:
+        """Every variable name the templates use; fresh names avoid them."""
+        names: set[str] = set()
+        for tpl in (self.domain, *self.relations.values(), *self.functions.values()):
+            names |= set(tpl.params)
+            names |= all_variable_names(tpl.body)
+        return frozenset(names)
 
 
 def translate_formula(translation: Translation, phi: Formula) -> Formula:
@@ -133,7 +124,7 @@ def translate_formula(translation: Translation, phi: Formula) -> Formula:
     collisions.
     """
     validate_formula(phi, translation.source)
-    forbidden = _forbidden_names(translation, phi)
+    forbidden = all_variable_names(phi) | translation.template_names
     counter = 0
 
     def fresh() -> str:

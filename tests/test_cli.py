@@ -277,8 +277,20 @@ def test_pair_spec_file_and_missing_path_on_both_routes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read")
 
 
-def test_too_deep_numeral_is_an_error_line_not_a_traceback(capsys):
-    assert main(["axioms", "R", "--start", "170301", "--count", "1"]) == 1
+def test_deep_numeral_axiom_is_printed(capsys):
+    # axiom 170301 of R is ax2(130, 130), whose numeral for 16900 is deeper
+    # than the recursion limit
+    def num(n):
+        return "(S " * n + "0" + ")" * n
+
+    assert main(["axioms", "R", "--start", "170301", "--count", "1"]) == 0
+    assert capsys.readouterr().out == f"(= (* {num(130)} {num(130)}) {num(16900)})\n"
+
+
+def test_too_deep_input_is_an_error_line_not_a_traceback(capsys):
+    # the reader still recurses once per nesting level
+    text = "(not " * 30000 + "true" + ")" * 30000
+    assert main(["parse", "--text", text, "--lang", "Q"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -1,7 +1,9 @@
 """Formula tree kernel: construction, traversal, substitution."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from weakarith.eqdecide import WrongLanguageError, rank, relation_name_of
 from weakarith.syntax import (
     FALSE,
     TRUE,
@@ -9,6 +11,7 @@ from weakarith.syntax import (
     App,
     Eq,
     Exists,
+    Falsum,
     ForAll,
     Implies,
     LanguageError,
@@ -16,6 +19,7 @@ from weakarith.syntax import (
     Or,
     Rel,
     Var,
+    Verum,
     all_variable_names,
     and_all,
     classify_formula,
@@ -30,8 +34,9 @@ from weakarith.syntax import (
     symbols_of,
     term_variables,
     validate_formula,
+    walk,
 )
-from weakarith.theories import get_language
+from weakarith.theories import get_language, numeral
 
 LANG = get_language("R")
 
@@ -147,3 +152,215 @@ def test_classify_formula():
     assert classify_formula(ForAll("x", Eq(x, x))) == "Pi1"
     assert classify_formula(Exists("x", Eq(x, x))) == "Sigma1"
     assert classify_formula(Eq(zero, zero)) == "Delta0"
+
+
+# --- the one walk against short recursive definitions -------------------------
+
+# Each reference below is the plain structural recursion the walk replaces.
+
+def _ref_term_variables(t):
+    match t:
+        case Var(name):
+            return {name}
+        case App(_, args):
+            return set().union(*map(_ref_term_variables, args))
+
+
+def _ref_subterms(t):
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from _ref_subterms(a)
+
+
+def _ref_variables(f, free):
+    """Free variable names, or every variable name when free is False."""
+    match f:
+        case Rel(_, args):
+            return set().union(*map(_ref_term_variables, args))
+        case Eq(left, right):
+            return _ref_term_variables(left) | _ref_term_variables(right)
+        case Not(body):
+            return _ref_variables(body, free)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return _ref_variables(left, free) | _ref_variables(right, free)
+        case ForAll(var, body) | Exists(var, body):
+            inner = _ref_variables(body, free)
+            return inner - {var} if free else inner | {var}
+    return set()
+
+
+def _ref_size(f):
+    match f:
+        case Var():
+            return 1
+        case App(_, args) | Rel(_, args):
+            return 1 + sum(map(_ref_size, args))
+        case Eq(left, right) | And(left, right) | Or(left, right) | Implies(left, right):
+            return 1 + _ref_size(left) + _ref_size(right)
+        case Not(body) | ForAll(_, body) | Exists(_, body):
+            return 1 + _ref_size(body)
+    return 1
+
+
+def _ref_symbols(f, tables):
+    """Pre-order (relation, function) arities; the first clash raises."""
+    match f:
+        case Rel(name, args) | App(name, args):
+            table = tables[isinstance(f, App)]
+            if table.setdefault(name, len(args)) != len(args):
+                raise LanguageError(
+                    f"symbol {name!r} used at arities {table[name]} and {len(args)}")
+            for a in args:
+                _ref_symbols(a, tables)
+        case Eq(left, right) | And(left, right) | Or(left, right) | Implies(left, right):
+            _ref_symbols(left, tables)
+            _ref_symbols(right, tables)
+        case Not(body) | ForAll(_, body) | Exists(_, body):
+            _ref_symbols(body, tables)
+    return tables
+
+
+def _ref_rank(f):
+    match f:
+        case Not(body):
+            return _ref_rank(body)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return max(_ref_rank(left), _ref_rank(right))
+        case ForAll(_, body) | Exists(_, body):
+            return 1 + _ref_rank(body)
+    return 0
+
+
+def _ref_relation_names(f, names):
+    """Relation names of a formula over variables only; checks as it goes."""
+    match f:
+        case Rel(name, args):
+            if len(args) != 2:
+                raise WrongLanguageError(f"relation {name!r} used at arity {len(args)}, want 2")
+            names.add(name)
+            if not all(isinstance(a, Var) for a in args):
+                raise WrongLanguageError("terms must be plain variables")
+        case Eq(left, right):
+            if not (isinstance(left, Var) and isinstance(right, Var)):
+                raise WrongLanguageError("terms must be plain variables")
+        case Not(body) | ForAll(_, body) | Exists(_, body):
+            _ref_relation_names(body, names)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            _ref_relation_names(left, names)
+            _ref_relation_names(right, names)
+    return names
+
+
+def _ref_relation_name(f):
+    names = _ref_relation_names(f, set())
+    if len(names) > 1:
+        raise WrongLanguageError(f"several relation symbols: {sorted(names)}")
+    return names.pop() if names else "E"
+
+
+def _ref_checked_rank(f):
+    _ref_relation_name(f)
+    return _ref_rank(f)
+
+
+def _outcome(fn, *args):
+    """A result, or the type and message of what was raised."""
+    try:
+        return fn(*args)
+    except (LanguageError, WrongLanguageError) as exc:
+        return type(exc), str(exc)
+
+
+_NAMES = ("x", "y", "z")
+
+
+@st.composite
+def _formulas(draw, depth=5):
+    """Random formulas with re-bound and shadowed variables and nested terms.
+
+    Half of them are over E and variables alone, as rank wants. In the
+    rest E is mostly binary and f mostly unary; either may appear at
+    another arity, so arity clashes and wrong-language errors are drawn too.
+    """
+    plain_only = draw(st.booleans())
+
+    def term(d):
+        kind = draw(st.integers(0, 3 if d else 1))
+        if kind == 0:
+            return Var(draw(st.sampled_from(_NAMES)))
+        if kind == 1:
+            return App("0")
+        if kind == 2:
+            return App("f", tuple(term(d - 1) for _ in range(draw(st.sampled_from([1, 1, 2])))))
+        return App("+", (term(d - 1), term(d - 1)))
+
+    def argument():
+        plain = plain_only or draw(st.booleans())
+        return Var(draw(st.sampled_from(_NAMES))) if plain else term(2)
+
+    def formula(d):
+        kind = draw(st.integers(0, 10 if d else 2))
+        if kind == 0:
+            if plain_only:
+                return Rel("E", (argument(), argument()))
+            arity = draw(st.sampled_from([2, 2, 2, 1]))
+            name = draw(st.sampled_from(["E", "E", "E", "P"]))
+            return Rel(name, tuple(argument() for _ in range(arity)))
+        if kind == 1:
+            return Eq(argument(), argument())
+        if kind == 2:
+            return draw(st.sampled_from([Verum(), Falsum()]))
+        if kind == 3:
+            return Not(formula(d - 1))
+        if kind in (4, 5, 6):
+            return (And, Or, Implies)[kind - 4](formula(d - 1), formula(d - 1))
+        quantifier = ForAll if kind in (7, 8) else Exists
+        return quantifier(draw(st.sampled_from(_NAMES)), formula(d - 1))
+
+    return formula(depth)
+
+
+@given(_formulas())
+@example(And(Rel("E", (x, y)), Exists("y", Rel("P", (y, x)))))   # several relations
+@example(Or(Eq(App("f", (x,)), y), Eq(App("f", (x, zero)), y)))  # f at arities 1 and 2
+@example(ForAll("x", And(Rel("E", (x,)), Rel("E", (x, x)))))     # E at arities 1 and 2
+@example(Exists("x", Rel("E", (App("+", (x, zero)), x))))        # a term that is not a variable
+def test_queries_match_recursive_definitions(phi):
+    assert free_variables(phi) == _ref_variables(phi, free=True)
+    assert all_variable_names(phi) == _ref_variables(phi, free=False)
+    assert formula_size(phi) == _ref_size(phi)
+    got, want = _outcome(symbols_of, phi), _outcome(_ref_symbols, phi, ({}, {}))
+    assert got == want
+    if isinstance(got[0], dict):
+        # insertion order too: the first occurrence in pre-order comes first
+        assert [list(t) for t in got] == [list(t) for t in want]
+    terms = [t for t, _ in walk(phi) if isinstance(t, (Var, App))]
+    for t in terms:
+        assert term_variables(t) == _ref_term_variables(t)
+        assert list(subterms(t)) == list(_ref_subterms(t))
+    assert _outcome(relation_name_of, phi) == _outcome(_ref_relation_name, phi)
+    assert _outcome(rank, phi) == _outcome(_ref_checked_rank, phi)
+
+
+def test_walk_reports_binders_outside_in():
+    phi = ForAll("x", And(Exists("y", Rel("E", (x, y))), Exists("x", Eq(x, zero))))
+    assert [(type(node).__name__, bound) for node, bound in walk(phi)] == [
+        ("ForAll", ()), ("And", ("x",)), ("Exists", ("x",)), ("Rel", ("x", "y")),
+        ("Var", ("x", "y")), ("Var", ("x", "y")), ("Exists", ("x",)),
+        ("Eq", ("x", "x")), ("Var", ("x", "x")), ("App", ("x", "x"))]
+
+
+def test_walk_rejects_non_formulas():
+    with pytest.raises(TypeError, match="not a formula: 5"):
+        formula_size(And(TRUE, 5))
+    with pytest.raises(TypeError, match="not a formula"):
+        free_variables(Rel("E", (x, "y")))
+
+
+def test_queries_reach_past_the_recursion_limit():
+    phi = Eq(numeral(50000), zero)
+    assert free_variables(phi) == frozenset()
+    assert all_variable_names(phi) == frozenset()
+    assert formula_size(phi) == 50003
+    assert symbols_of(phi) == ({}, {"S": 1, "0": 0})
