@@ -62,7 +62,8 @@ def _do_parse(args) -> int:
     from .syntax import formula_size
 
     print(print_formula(phi))
-    _summary(args, ok=1, nodes=formula_size(phi))
+    if args.summary:
+        _summary(args, ok=1, nodes=formula_size(phi))
     return USAGE_OK
 
 
@@ -91,7 +92,8 @@ def _do_translate(args) -> int:
     phi = parse_formula(text, tr.source)
     out = translate_formula(tr, phi)
     print(print_formula(out))
-    _summary(args, nodes=formula_size(out))
+    if args.summary:
+        _summary(args, nodes=formula_size(out))
     return USAGE_OK
 
 
@@ -273,7 +275,8 @@ def _do_godel(args) -> int:
         _summary(args, ok=0)
         return DOMAIN_FAIL
     print(print_formula(phi))
-    _summary(args, ok=1, nodes=formula_size(phi))
+    if args.summary:
+        _summary(args, ok=1, nodes=formula_size(phi))
     return USAGE_OK
 
 

@@ -13,7 +13,9 @@ parse(print(phi)) == phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from itertools import accumulate
+from operator import sub
 
 from .errors import FormatError
 from .syntax import (App, Eq, Exists, FALSE, ForAll, Formula, KIND_FUNCTION,
@@ -28,128 +30,121 @@ class ParseError(FormatError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
+# one chunk per token: the separators before it, then a parenthesis or a
+# maximal run of name characters; the chunks tile the text up to any
+# trailing separators
+_CHUNK = re.compile(r"[ \t\r\n]*(?:[()]|[^() \t\r\n]+)")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c in "()":
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in "() \t\r\n":
-                j += 1
-            tokens.append(_Token(text[i:j], line, col))
-            col += j - i
-            i = j
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The token texts and, in a parallel list, their start offsets."""
+    chunks = _CHUNK.findall(text)
+    tokens = [c.lstrip(" \t\r\n") for c in chunks]
+    starts = list(map(sub, accumulate(map(len, chunks)), map(len, tokens)))
+    return tokens, starts
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of an offset; columns count characters."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Reader:
     """Single-pass recursive-descent reader over the token stream."""
 
-    def __init__(self, tokens: list[_Token], lang: Language):
-        self.tokens = tokens
+    def __init__(self, text: str, lang: Language):
+        self.text = text
+        self.tokens, self.starts = _tokenize(text)
         self.pos = 0
         self.lang = lang
 
-    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
-        if tok is None:
-            if self.tokens:
-                last = self.tokens[-1]
-                return ParseError(message, last.line, last.col + len(last.text))
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token index at, or just past the last token."""
+        if at is not None:
+            offset = self.starts[at]
+        elif self.tokens:
+            offset = self.starts[-1] + len(self.tokens[-1])
+        else:
             return ParseError(message, 1, 1)
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message, *_position(self.text, offset))
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.peek()
         if tok is None:
             raise self.fail("unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise self.fail(f"expected {text!r}, found {tok.text!r}", tok)
-        return tok
+        if tok != text:
+            raise self.fail(f"expected {text!r}, found {tok!r}", self.pos - 1)
 
     # -- terms --
 
     def term(self) -> Term:
         tok = self.next()
-        if tok.text == "(":
+        if tok == "(":
+            at = self.pos
             head = self.next()
-            if head.text in ("(", ")"):
-                raise self.fail("expected a function symbol", head)
-            sym = self.lang.lookup(head.text)
+            if head in ("(", ")"):
+                raise self.fail("expected a function symbol", at)
+            sym = self.lang.lookup(head)
             if sym is None:
-                kind = "unbound family index" if "#" in head.text else "unknown function symbol"
-                raise self.fail(f"{kind} {head.text!r}", head)
+                kind = "unbound family index" if "#" in head else "unknown function symbol"
+                raise self.fail(f"{kind} {head!r}", at)
             if sym.kind != KIND_FUNCTION:
-                raise self.fail(f"{head.text!r} is a relation symbol, not a function", head)
-            args = []
-            while True:
-                nxt = self.peek()
-                if nxt is None:
-                    raise self.fail("unexpected end of input")
-                if nxt.text == ")":
-                    self.next()
-                    break
-                args.append(self.term())
+                raise self.fail(f"{head!r} is a relation symbol, not a function", at)
+            args = self.arguments()
             if len(args) != sym.arity:
                 raise self.fail(
-                    f"function {head.text!r} expects {sym.arity} arguments, got {len(args)}", head)
-            return App(head.text, tuple(args))
-        if tok.text == ")":
-            raise self.fail("unexpected ')'", tok)
-        if tok.text in RESERVED:
-            raise self.fail(f"reserved word {tok.text!r} in term position", tok)
-        sym = self.lang.lookup(tok.text)
+                    f"function {head!r} expects {sym.arity} arguments, got {len(args)}", at)
+            return App(head, args)
+        at = self.pos - 1
+        if tok == ")":
+            raise self.fail("unexpected ')'", at)
+        if tok in RESERVED:
+            raise self.fail(f"reserved word {tok!r} in term position", at)
+        sym = self.lang.lookup(tok)
         if sym is not None:
             if sym.kind != KIND_FUNCTION:
-                raise self.fail(f"{tok.text!r} is a relation symbol, not a term", tok)
+                raise self.fail(f"{tok!r} is a relation symbol, not a term", at)
             if sym.arity != 0:
-                raise self.fail(f"function {tok.text!r} expects {sym.arity} arguments, got 0", tok)
-            return App(tok.text, ())
-        if "#" in tok.text:
-            raise self.fail(f"unbound family index {tok.text!r}", tok)
-        return Var(tok.text)
+                raise self.fail(f"function {tok!r} expects {sym.arity} arguments, got 0", at)
+            return App(tok, ())
+        if "#" in tok:
+            raise self.fail(f"unbound family index {tok!r}", at)
+        return Var(tok)
+
+    def arguments(self) -> tuple:
+        """Terms up to and including the closing parenthesis."""
+        args = []
+        while True:
+            nxt = self.peek()
+            if nxt is None:
+                raise self.fail("unexpected end of input")
+            if nxt == ")":
+                self.pos += 1
+                return tuple(args)
+            args.append(self.term())
 
     # -- formulas --
 
     def formula(self) -> Formula:
         tok = self.next()
-        if tok.text == "true":
+        if tok == "true":
             return TRUE
-        if tok.text == "false":
+        if tok == "false":
             return FALSE
-        if tok.text == ")":
-            raise self.fail("unexpected ')'", tok)
-        if tok.text != "(":
-            return self._bare_atom(tok)
-        head = self.next()
-        text = head.text
+        if tok == ")":
+            raise self.fail("unexpected ')'", self.pos - 1)
+        if tok != "(":
+            return self._bare_atom(tok, self.pos - 1)
+        at = self.pos
+        text = self.next()
         if text == "not":
             body = self.formula()
             self.expect(")")
@@ -162,67 +157,61 @@ class _Reader:
             return cls(left, right)
         if text in ("forall", "exists"):
             var = self.next()
-            if var.text in ("(", ")"):
-                raise self.fail("expected a variable name", var)
-            if var.text in RESERVED or self.lang.lookup(var.text) is not None:
-                raise self.fail(f"{var.text!r} cannot be a bound variable", var)
+            if var in ("(", ")"):
+                raise self.fail("expected a variable name", self.pos - 1)
+            if var in RESERVED or self.lang.lookup(var) is not None:
+                raise self.fail(f"{var!r} cannot be a bound variable", self.pos - 1)
             body = self.formula()
             self.expect(")")
             cls = ForAll if text == "forall" else Exists
-            return cls(var.text, body)
+            return cls(var, body)
         if text == "=":
             left = self.term()
             right = self.term()
             self.expect(")")
             return Eq(left, right)
         if text in ("(", ")"):
-            raise self.fail("expected a connective or relation symbol", head)
+            raise self.fail("expected a connective or relation symbol", at)
         sym = self.lang.lookup(text)
         if sym is None:
             kind = "unbound family index" if "#" in text else "unknown relation symbol"
-            raise self.fail(f"{kind} {text!r}", head)
+            raise self.fail(f"{kind} {text!r}", at)
         if sym.kind != KIND_RELATION:
-            raise self.fail(f"{text!r} is a function symbol, not a relation", head)
-        args = []
-        while True:
-            nxt = self.peek()
-            if nxt is None:
-                raise self.fail("unexpected end of input")
-            if nxt.text == ")":
-                self.next()
-                break
-            args.append(self.term())
+            raise self.fail(f"{text!r} is a function symbol, not a relation", at)
+        args = self.arguments()
         if len(args) != sym.arity:
             raise self.fail(
-                f"relation {text!r} expects {sym.arity} arguments, got {len(args)}", head)
-        return Rel(text, tuple(args))
+                f"relation {text!r} expects {sym.arity} arguments, got {len(args)}", at)
+        return Rel(text, args)
 
-    def _bare_atom(self, tok: _Token) -> Formula:
-        sym = self.lang.lookup(tok.text)
+    def _bare_atom(self, tok: str, at: int) -> Formula:
+        sym = self.lang.lookup(tok)
         if sym is None:
-            raise self.fail(f"unknown relation symbol {tok.text!r}", tok)
+            raise self.fail(f"unknown relation symbol {tok!r}", at)
         if sym.kind != KIND_RELATION:
-            raise self.fail(f"{tok.text!r} is not a relation symbol", tok)
+            raise self.fail(f"{tok!r} is not a relation symbol", at)
         if sym.arity != 0:
-            raise self.fail(f"relation {tok.text!r} expects {sym.arity} arguments, got 0", tok)
-        return Rel(tok.text, ())
+            raise self.fail(f"relation {tok!r} expects {sym.arity} arguments, got 0", at)
+        return Rel(tok, ())
+
+    def finish(self) -> None:
+        """Fail on any token left after one complete formula or term."""
+        trailing = self.peek()
+        if trailing is not None:
+            raise self.fail(f"trailing input {trailing!r}", self.pos)
 
 
 def parse_formula(text: str, lang: Language) -> Formula:
-    reader = _Reader(_tokenize(text), lang)
+    reader = _Reader(text, lang)
     phi = reader.formula()
-    trailing = reader.peek()
-    if trailing is not None:
-        raise reader.fail(f"trailing input {trailing.text!r}", trailing)
+    reader.finish()
     return phi
 
 
 def parse_term(text: str, lang: Language) -> Term:
-    reader = _Reader(_tokenize(text), lang)
+    reader = _Reader(text, lang)
     t = reader.term()
-    trailing = reader.peek()
-    if trailing is not None:
-        raise reader.fail(f"trailing input {trailing.text!r}", trailing)
+    reader.finish()
     return t
 
 
@@ -287,47 +276,50 @@ def infer_language(texts) -> Language:
     rels: dict[str, int] = {}
     funs: dict[str, int] = {}
 
-    def note(table, name, arity, line, col):
+    def note(rd: "_Reader", table, name, arity, at):
         try:
             note_arity(table, name, arity)
         except LanguageError as exc:
-            raise ParseError(str(exc), line, col) from None
+            raise rd.fail(str(exc), at) from None
+
+    def scan_arguments(rd: "_Reader") -> int:
+        n = 0
+        while True:
+            nxt = rd.peek()
+            if nxt is None:
+                raise rd.fail("unexpected end of input")
+            if nxt == ")":
+                rd.pos += 1
+                return n
+            scan_term(rd)
+            n += 1
 
     def scan_term(rd: "_Reader") -> None:
         tok = rd.next()
-        if tok.text == "(":
+        if tok == "(":
+            at = rd.pos
             head = rd.next()
-            if head.text in ("(", ")") or head.text in RESERVED:
-                raise rd.fail("expected a function symbol", head)
-            n = 0
-            while True:
-                nxt = rd.peek()
-                if nxt is None:
-                    raise rd.fail("unexpected end of input")
-                if nxt.text == ")":
-                    rd.next()
-                    break
-                scan_term(rd)
-                n += 1
-            note(funs, head.text, n, head.line, head.col)
-        elif tok.text == ")":
-            raise rd.fail("unexpected ')'", tok)
-        elif tok.text in RESERVED:
-            raise rd.fail(f"reserved word {tok.text!r} in term position", tok)
-        elif tok.text[0].isdigit():
-            note(funs, tok.text, 0, tok.line, tok.col)
+            if head in ("(", ")") or head in RESERVED:
+                raise rd.fail("expected a function symbol", at)
+            note(rd, funs, head, scan_arguments(rd), at)
+        elif tok == ")":
+            raise rd.fail("unexpected ')'", rd.pos - 1)
+        elif tok in RESERVED:
+            raise rd.fail(f"reserved word {tok!r} in term position", rd.pos - 1)
+        elif tok[0].isdigit():
+            note(rd, funs, tok, 0, rd.pos - 1)
 
     def scan_formula(rd: "_Reader") -> None:
         tok = rd.next()
-        if tok.text in ("true", "false"):
+        if tok in ("true", "false"):
             return
-        if tok.text == ")":
-            raise rd.fail("unexpected ')'", tok)
-        if tok.text != "(":
-            note(rels, tok.text, 0, tok.line, tok.col)
+        if tok == ")":
+            raise rd.fail("unexpected ')'", rd.pos - 1)
+        if tok != "(":
+            note(rd, rels, tok, 0, rd.pos - 1)
             return
-        head = rd.next()
-        text = head.text
+        at = rd.pos
+        text = rd.next()
         if text == "not":
             scan_formula(rd)
             rd.expect(")")
@@ -345,26 +337,15 @@ def infer_language(texts) -> Language:
             rd.expect(")")
         else:
             if text in ("(", ")"):
-                raise rd.fail("expected a connective or relation symbol", head)
-            n = 0
-            while True:
-                nxt = rd.peek()
-                if nxt is None:
-                    raise rd.fail("unexpected end of input")
-                if nxt.text == ")":
-                    rd.next()
-                    break
-                scan_term(rd)
-                n += 1
-            note(rels, text, n, head.line, head.col)
+                raise rd.fail("expected a connective or relation symbol", at)
+            note(rd, rels, text, scan_arguments(rd), at)
 
     from .syntax import Symbol
     dummy = Language()
     for text in texts:
-        rd = _Reader(_tokenize(text), dummy)
+        rd = _Reader(text, dummy)
         scan_formula(rd)
-        if rd.peek() is not None:
-            raise rd.fail(f"trailing input {rd.peek().text!r}", rd.peek())
+        rd.finish()
     # digit-led bare tokens inside scanned terms were noted as constants above
     symbols = [Symbol(n, KIND_RELATION, a) for n, a in sorted(rels.items())]
     symbols += [Symbol(n, KIND_FUNCTION, a) for n, a in sorted(funs.items())]

@@ -1,9 +1,15 @@
 """First-order syntax: languages, terms, formulas, substitution, classification.
 
-Formulas are immutable trees. Symbol applications store the symbol name only;
-arity discipline is checked against a Language by validate_formula (the parser
-does the same check with source positions). Equality is a logical primitive,
-not a language symbol, so every language implicitly supports (= t u).
+Formulas are immutable trees whose nodes are interned: building a node equal
+to one built before returns that same object. Equal formulas are therefore the
+same object, == and hash are O(1) identity operations, and numerals share one
+chain. Terms carry a ground flag (no variable occurs in them), set when they
+are built, and substitution returns ground terms untouched.
+
+Symbol applications store the symbol name only; arity discipline is checked
+against a Language by validate_formula (the parser does the same check with
+source positions). Equality is a logical primitive, not a language symbol, so
+every language implicitly supports (= t u).
 """
 
 from __future__ import annotations
@@ -121,17 +127,84 @@ class Language:
         return f"Language({names})"
 
 
+# --- the node kernel ----------------------------------------------------
+#
+# Nodes are hash-consed (Filliatre & Conchon, "Type-Safe Modular
+# Hash-Consing", 2006): each constructor looks its class and fields up in
+# _NODES and returns the node built before when there is one. Children are
+# interned before their parents, so one dict lookup per node suffices, and
+# the default identity __eq__ and __hash__ are structural equality: O(1) and
+# free of recursion at any depth. The table is a plain dict and holds every
+# distinct node a process has built; a WeakValueDictionary would let unused
+# nodes go, at the price of a slower, Python-level lookup on every construction.
+
+_NODES: dict[tuple, "_Node"] = {}
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Node:
+    """Immutable, interned node; __match_args__ names its fields."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # unpickling calls the constructor, which re-interns
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    # an immutable node is its own copy; deepcopy through __reduce__ would
+    # rebuild the tree recursively
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
 # --- terms ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Node):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+    ground = False
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new(cls)
+            _set(node, "name", name)
+        return node
 
 
-@dataclass(frozen=True)
-class App:
-    name: str
-    args: tuple = ()
+class App(_Node):
+    """Function application; ground when no variable occurs in it."""
+
+    __slots__ = ("name", "args", "ground")
+    __match_args__ = ("name", "args")
+
+    def __new__(cls, name: str, args: tuple = ()):
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (cls, name, args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new(cls)
+            _set(node, "name", name)
+            _set(node, "args", args)
+            _set(node, "ground", all(a.ground for a in args))
+        return node
 
 
 Term = Var | App
@@ -139,70 +212,114 @@ Term = Var | App
 
 # --- formulas ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rel:
-    name: str
-    args: tuple = ()
+class Rel(_Node):
+    __slots__ = ("name", "args")
+    __match_args__ = ("name", "args")
+
+    def __new__(cls, name: str, args: tuple = ()):
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (cls, name, args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new(cls)
+            _set(node, "name", name)
+            _set(node, "args", args)
+        return node
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class _Nullary(_Node):
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new(cls)
+        return node
 
 
-@dataclass(frozen=True)
-class Verum:
-    pass
+class _Unary(_Node):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __new__(cls, body: "Formula"):
+        key = (cls, body)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new(cls)
+            _set(node, "body", body)
+        return node
 
 
-@dataclass(frozen=True)
-class Falsum:
-    pass
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (cls, left, right)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+        return node
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class _Binder(_Node):
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+
+    def __new__(cls, var: str, body: "Formula"):
+        key = (cls, var, body)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new(cls)
+            _set(node, "var", var)
+            _set(node, "body", body)
+        return node
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Eq(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Verum(_Nullary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Falsum(_Nullary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ForAll:
-    var: str
-    body: "Formula"
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class ForAll(_Binder):
+    __slots__ = ()
+
+
+class Exists(_Binder):
+    __slots__ = ()
 
 
 Formula = Rel | Eq | Verum | Falsum | Not | And | Or | Implies | ForAll | Exists
 
 TRUE = Verum()
 FALSE = Falsum()
-
-_BINARY = (And, Or, Implies)
-_QUANT = (ForAll, Exists)
 
 
 def _balanced(ctor, parts, empty):
@@ -377,46 +494,50 @@ def fresh_variant(name: str, forbidden) -> str:
 
 
 def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
+    if t.ground:
+        return t
+    if type(t) is Var:
         return mapping.get(t.name, t)
-    return App(t.name, tuple(substitute_term(a, mapping) for a in t.args))
+    return App(t.name, tuple([substitute_term(a, mapping) for a in t.args]))
 
 
 def substitute_many(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
     """Simultaneous capture-avoiding substitution of terms for free variables.
 
     Bound variables that would capture a substituted term are renamed with
-    fresh_variant, so the result is deterministic.
+    fresh_variant, so the result is deterministic. A subformula that no
+    entry touches comes back as the same object.
     """
     mapping = {v: t for v, t in mapping.items() if t != Var(v)}
     if not mapping:
         return phi
-    if isinstance(phi, Rel):
-        return Rel(phi.name, tuple(substitute_term(a, mapping) for a in phi.args))
-    if isinstance(phi, Eq):
+    kind = type(phi)
+    if kind is Rel:
+        return Rel(phi.name, tuple([substitute_term(a, mapping) for a in phi.args]))
+    if kind is Eq:
         return Eq(substitute_term(phi.left, mapping), substitute_term(phi.right, mapping))
-    if isinstance(phi, (Verum, Falsum)):
+    if kind is Verum or kind is Falsum:
         return phi
-    if isinstance(phi, Not):
+    if kind is Not:
         return Not(substitute_many(phi.body, mapping))
-    if isinstance(phi, _BINARY):
-        return type(phi)(substitute_many(phi.left, mapping),
-                         substitute_many(phi.right, mapping))
-    if isinstance(phi, _QUANT):
-        inner = {v: t for v, t in mapping.items() if v != phi.var}
-        relevant = {v: t for v, t in inner.items() if v in free_variables(phi.body)}
+    if kind is And or kind is Or or kind is Implies:
+        return kind(substitute_many(phi.left, mapping), substitute_many(phi.right, mapping))
+    if kind is ForAll or kind is Exists:
+        free = free_variables(phi.body)
+        relevant = {v: t for v, t in mapping.items() if v != phi.var and v in free}
         if not relevant:
             return phi
         var = phi.var
         body = phi.body
         incoming = set()
         for t in relevant.values():
-            incoming |= term_variables(t)
+            if not t.ground:
+                incoming |= term_variables(t)
         if var in incoming:
-            forbidden = set(incoming) | all_variable_names(body) | set(relevant)
+            forbidden = incoming | all_variable_names(body) | set(relevant)
             var = fresh_variant(var, forbidden)
             body = substitute_many(body, {phi.var: Var(var)})
-        return type(phi)(var, substitute_many(body, relevant))
+        return kind(var, substitute_many(body, relevant))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -466,7 +587,7 @@ def _levels(phi: Formula) -> tuple[int, int]:
         sl, pl = _levels(phi.left)
         sr, pr = _levels(phi.right)
         return (max(sl, sr), max(pl, pr))
-    if isinstance(phi, _QUANT):
+    if isinstance(phi, _Binder):
         body = _bounded_shape(phi)
         if body is not None and _levels(body) == (0, 0):
             return (0, 0)

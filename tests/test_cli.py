@@ -321,3 +321,34 @@ def test_repeated_main_calls_match_first_calls(capsys):
     build_parser.cache_clear()
     for _ in range(2):
         assert [_outcome(argv, capsys) for argv in calls] == first
+
+
+def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeypatch):
+    import weakarith.syntax
+
+    tr_path = tmp_path / "id.tr"
+    tr_path.write_text(IDENTITY_R)
+    verbs = [
+        ["parse", "--text", "(forall x (= x (S 0)))", "--lang", "R"],
+        ["translate", "--translation", str(tr_path), "--text", "(= (S 0) 0)"],
+        ["godel", "--decode", "216"],  # (not true)
+    ]
+    plain = []
+    for argv in verbs:
+        assert main(argv) == 0
+        plain.append(capsys.readouterr().out)
+    calls = []
+
+    def formula_size(phi):
+        calls.append(phi)
+        raise AssertionError("formula_size called without --summary")
+
+    monkeypatch.setattr(weakarith.syntax, "formula_size", formula_size)
+    for argv, want in zip(verbs, plain):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+    assert calls == []
+    # the patch is the one the verbs would call for the summary line
+    with pytest.raises(AssertionError):
+        main(verbs[0] + ["--summary"])
+    assert len(calls) == 1

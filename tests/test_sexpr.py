@@ -136,3 +136,89 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_roundtrip_property(phi):
     assert parse_formula(print_formula(phi), LANG) == phi
+
+
+# --- the tokenizer ------------------------------------------------------------
+
+def _old_tokenize(text):
+    """The character-by-character tokenizer the reader used to have."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            col += 1
+            i += 1
+        elif c in "()":
+            tokens.append((c, line, col))
+            col += 1
+            i += 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in "() \t\r\n":
+                j += 1
+            tokens.append((text[i:j], line, col))
+            col += j - i
+            i = j
+    return tokens
+
+
+@given(st.text(alphabet="() \t\r\n\f#abxyz0Sé", max_size=80))
+def test_tokenizer_matches_the_old_one(text):
+    from weakarith.sexpr import _position, _tokenize
+
+    tokens, starts = _tokenize(text)
+    assert list(zip(tokens, [_position(text, o) for o in starts])) == [
+        (t, (line, col)) for t, line, col in _old_tokenize(text)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(forall x\n  (-> (<= x 0)\n      (= x", "3:11: unexpected end of input"),
+    ("(and\n\t(= 0 0)\n\t(<= 0 0) (= 0 0))", "3:11: expected ')', found '('"),
+    ("(= 0 0)\n  extra", "2:3: trailing input 'extra'"),
+    ("(forall\n (S 0) (= 0 0))", "2:2: expected a variable name"),
+    ("(not\n  (foo 0))", "2:4: unknown relation symbol 'foo'"),
+    ("(<= 0\n   (S 0 0))", "2:5: function 'S' expects 1 arguments, got 2"),
+    ("", "1:1: unexpected end of input"),
+    ("  \n \r\n", "1:1: unexpected end of input"),
+    ("(= x#2 0)", "1:4: unbound family index 'x#2'"),
+    ("(exists é\r\n\t(= é (S\f 0)))", "2:8: unknown function symbol 'S\\x0c'"),
+    ("(not (= 0 0)\n", "1:13: unexpected end of input"),
+    ("\n\n   )", "3:4: unexpected ')'"),
+    ("(or (= 0 0)\n (S 0))", "2:3: 'S' is a function symbol, not a relation"),
+    ("(= (<= 0 0) 0)", "1:5: '<=' is a relation symbol, not a function"),
+    ("(forall S (= 0 0))", "1:9: 'S' cannot be a bound variable"),
+])
+def test_formula_error_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, LANG)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(S\n 0 x", "2:5: unexpected end of input"),
+    ("(S 0)\n (S 0)", "2:2: trailing input '('"),
+    ("forall", "1:1: reserved word 'forall' in term position"),
+])
+def test_term_error_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_term(text, LANG)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("texts, message", [
+    (["(and (P x)\n  (P x y))"], "2:4: symbol 'P' used at arities 1 and 2"),
+    (["(and (P x)\n  (Q"], "2:5: unexpected end of input"),
+    (["(= (f 0)\n (f 0 1))"], "2:3: symbol 'f' used at arities 1 and 2"),
+    (["(P x)", "(Q x)\n)"], "2:1: trailing input ')'"),
+    (["(= (not 0) 0)"], "1:5: expected a function symbol"),
+])
+def test_inferred_language_error_messages_are_pinned(texts, message):
+    with pytest.raises(ParseError) as info:
+        infer_language(texts)
+    assert str(info.value) == message

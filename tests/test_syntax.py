@@ -364,3 +364,246 @@ def test_queries_reach_past_the_recursion_limit():
     assert all_variable_names(phi) == frozenset()
     assert formula_size(phi) == 50003
     assert symbols_of(phi) == ({}, {"S": 1, "0": 0})
+
+
+# --- the interned kernel ---------------------------------------------------
+
+def _rebuild(node):
+    """A fresh copy built bottom-up through the public constructors."""
+    match node:
+        case Var(name):
+            return Var(name)
+        case App(name, args):
+            return App(name, tuple(_rebuild(a) for a in args))
+        case Rel(name, args):
+            return Rel(name, tuple(_rebuild(a) for a in args))
+        case Verum() | Falsum():
+            return type(node)()
+        case Not(body):
+            return Not(_rebuild(body))
+        case ForAll(var, body) | Exists(var, body):
+            return type(node)(var, _rebuild(body))
+    return type(node)(_rebuild(node.left), _rebuild(node.right))
+
+
+def _same_tree(a, b):
+    """Structural equality by class and fields, never using the nodes' ==."""
+    if type(a) is not type(b):
+        return False
+    match a:
+        case Var(name):
+            return name == b.name
+        case App(name, args) | Rel(name, args):
+            return (name == b.name and len(args) == len(b.args)
+                    and all(_same_tree(p, q) for p, q in zip(args, b.args)))
+        case Verum() | Falsum():
+            return True
+        case Not(body):
+            return _same_tree(body, b.body)
+        case ForAll(var, body) | Exists(var, body):
+            return var == b.var and _same_tree(body, b.body)
+    return _same_tree(a.left, b.left) and _same_tree(a.right, b.right)
+
+
+def _language_of(phi):
+    from weakarith.syntax import KIND_FUNCTION, KIND_RELATION, Language, Symbol
+
+    rels, funs = symbols_of(phi)
+    return Language([Symbol(n, KIND_RELATION, a) for n, a in rels.items()]
+                    + [Symbol(n, KIND_FUNCTION, a) for n, a in funs.items()])
+
+
+@given(_formulas())
+def test_equal_formulas_are_one_object(phi):
+    from weakarith.sexpr import parse_formula, print_formula
+
+    assert _rebuild(phi) is phi
+    try:
+        lang = _language_of(phi)
+    except LanguageError:  # a symbol at two arities has no language
+        return
+    assert parse_formula(print_formula(phi), lang) is phi
+
+
+def test_decoded_formulas_are_one_object():
+    # the codec corpus: code length doubles with every level of nesting
+    from formula_corpus import build_corpus
+    from weakarith.godel import godel_decode, godel_encode
+
+    for phi in build_corpus(200, seed=5, depth=3):
+        assert godel_decode(godel_encode(phi)) is phi
+
+
+@given(_formulas(depth=2), _formulas(depth=2))
+@example(Eq(x, zero), Eq(x, zero))
+@example(Rel("E", (x, y)), Rel("E", (y, x)))
+@example(ForAll("x", TRUE), Exists("x", TRUE))
+def test_eq_and_hash_agree_with_structure(a, b):
+    assert (a == b) == _same_tree(a, b)
+    assert (a != b) == (not _same_tree(a, b))
+    if _same_tree(a, b):
+        assert hash(a) == hash(b)
+        assert a is b
+
+
+@given(_formulas())
+def test_copies_and_pickles_are_the_interned_node(phi):
+    import copy
+    import pickle
+
+    assert copy.copy(phi) is phi
+    assert copy.deepcopy(phi) is phi
+    assert copy.deepcopy([phi, (phi,)])[1][0] is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+
+
+def test_reduce_rebuilds_through_the_constructor():
+    t = App("+", (x, s(zero)))
+    ctor, fields = t.__reduce__()
+    assert ctor is App and fields == ("+", (x, s(zero)))
+    assert ctor(*fields) is t
+    assert TRUE.__reduce__() == (Verum, ())
+
+
+@pytest.mark.parametrize("node, field", [
+    (x, "name"), (zero, "name"), (s(zero), "args"), (s(x), "ground"),
+    (Rel("E", (x, y)), "args"), (Eq(x, y), "left"), (Not(TRUE), "body"),
+    (And(TRUE, FALSE), "right"), (Or(TRUE, FALSE), "left"),
+    (Implies(TRUE, FALSE), "left"), (ForAll("x", TRUE), "var"),
+    (Exists("x", TRUE), "body"), (TRUE, "name")])
+def test_fields_cannot_be_assigned(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, zero)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(s(zero)) == "App(name='S', args=(App(name='0', args=()),))"
+    assert repr(ForAll("x", Not(Rel("E", (x, y))))) == (
+        "ForAll(var='x', body=Not(body=Rel(name='E', args=(Var(name='x'), Var(name='y')))))")
+    assert repr(Implies(TRUE, Or(FALSE, Eq(x, zero)))) == (
+        "Implies(left=Verum(), right=Or(left=Falsum(), "
+        "right=Eq(left=Var(name='x'), right=App(name='0', args=()))))")
+    assert repr(Exists("y", And(TRUE, TRUE))) == (
+        "Exists(var='y', body=And(left=Verum(), right=Verum()))")
+
+
+def test_keyword_construction_and_defaults():
+    assert App(name="S", args=(zero,)) is s(zero)
+    assert App("0") is App("0", ()) is zero
+    assert Rel("P") is Rel("P", ())
+    assert App("f", [x, y]) is App("f", (x, y))
+    assert Eq(left=x, right=y) is Eq(x, y)
+    assert ForAll(var="x", body=TRUE) is ForAll("x", TRUE)
+    assert Verum() is TRUE and Falsum() is FALSE
+
+
+def test_ground_flag():
+    assert not x.ground
+    assert zero.ground and s(zero).ground and numeral(7).ground
+    assert not s(x).ground
+    assert not App("+", (zero, App("f", (y,)))).ground
+    assert App("+", (zero, App("f", (zero,)))).ground
+
+
+def test_substitute_leaves_untouched_nodes_alone():
+    from weakarith.syntax import substitute_term
+
+    ground = App("+", (numeral(30), App("f", (zero,))))
+    assert substitute_term(ground, {"x": y}) is ground
+    phi = ForAll("x", And(Eq(x, ground), Rel("E", (y, zero))))
+    assert substitute(phi, "x", zero) is phi          # x is bound
+    assert substitute(phi, "z", numeral(3)) is phi    # z does not occur
+    assert substitute(phi, "y", y) is phi             # identity entry
+    got = substitute(phi, "y", numeral(2))
+    assert got.body.left is phi.body.left            # the part without y
+
+
+def test_deep_numerals_compare_and_hash_without_recursion():
+    # both raise RecursionError under structural dataclass equality and hashing
+    assert numeral(50000) == numeral(50000)
+    assert numeral(50000) is numeral(50000)
+    assert numeral(50000) != numeral(49999)
+    assert isinstance(hash(Eq(numeral(50000), zero)), int)
+    assert numeral(50000).args[0] is numeral(49999)
+
+
+def test_a_repeated_pass_adds_no_node():
+    """The intern table is bounded by the distinct nodes a process builds."""
+    from weakarith.godel import godel_decode, godel_encode
+    from weakarith.proofs import search_proof
+    from weakarith.syntax import _NODES
+    from weakarith.theories import get_theory
+
+    theory = get_theory("R")
+
+    def one_pass():
+        axioms = [theory.axiom_of(i) for i in range(40)]
+        assert search_proof(theory, Eq(numeral(1), numeral(2)), 150) is None
+        for phi in axioms[:6]:
+            assert godel_decode(godel_encode(phi)) is phi
+
+    one_pass()
+    before = len(_NODES)
+    one_pass()
+    assert len(_NODES) == before
+
+
+# --- substitution against the plain definition -----------------------------
+
+def _ref_substitute_term(t, mapping):
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    return App(t.name, tuple(_ref_substitute_term(a, mapping) for a in t.args))
+
+
+def _ref_substitute(phi, mapping):
+    """Capture-avoiding substitution as first written: no short cut."""
+    mapping = {v: t for v, t in mapping.items() if t != Var(v)}
+    if not mapping:
+        return phi
+    match phi:
+        case Rel(name, args):
+            return Rel(name, tuple(_ref_substitute_term(a, mapping) for a in args))
+        case Eq(left, right):
+            return Eq(_ref_substitute_term(left, mapping), _ref_substitute_term(right, mapping))
+        case Verum() | Falsum():
+            return phi
+        case Not(body):
+            return Not(_ref_substitute(body, mapping))
+        case ForAll(var, body) | Exists(var, body):
+            relevant = {v: t for v, t in mapping.items()
+                        if v != var and v in _ref_variables(body, free=True)}
+            if not relevant:
+                return phi
+            incoming = set()
+            for t in relevant.values():
+                incoming |= _ref_term_variables(t)
+            new_var = var
+            if var in incoming:
+                forbidden = incoming | _ref_variables(body, free=False) | set(relevant)
+                new_var = fresh_variant(var, forbidden)
+                body = _ref_substitute(body, {var: Var(new_var)})
+            return type(phi)(new_var, _ref_substitute(body, relevant))
+    return type(phi)(_ref_substitute(phi.left, mapping), _ref_substitute(phi.right, mapping))
+
+
+_SUB_TERMS = st.sampled_from([
+    zero, numeral(3), App("+", (numeral(2), zero)),                  # ground
+    x, y, z, s(x), App("+", (y, z)), App("f", (App("+", (x, zero)),)),  # open
+])
+
+
+@given(_formulas(), st.dictionaries(st.sampled_from(_NAMES), _SUB_TERMS, max_size=3))
+@example(ForAll("x", Eq(x, y)), {"y": x})
+@example(ForAll("x", Exists("x1", Eq(App("+", (x, App("f", (App("0"),)))), y))), {"y": x, "x": zero})
+@example(ForAll("y", Rel("E", (x, y))), {"x": App("+", (y, z)), "z": x})
+def test_substitute_many_matches_the_plain_definition(phi, mapping):
+    from weakarith.sexpr import print_formula
+
+    got = substitute_many(phi, mapping)
+    assert print_formula(got) == print_formula(_ref_substitute(phi, mapping))
+    for var, term in mapping.items():
+        want = print_formula(_ref_substitute(phi, {var: term}))
+        assert print_formula(substitute(phi, var, term)) == want
