@@ -6,18 +6,6 @@ inseparable pairs, and the decision procedure for the one-binary-relation
 equivalence theory.
 """
 
-import sys as _sys
-
-# formula trees nest linearly in numeral depth and quantifier prefix
-# length; structural recursion over them needs more than the default
-if _sys.getrecursionlimit() < 20000:
-    _sys.setrecursionlimit(20000)
-
-# formula numbers reach hundreds of thousands of digits; printing them
-# must not trip the interpreter's int-to-str guard
-if hasattr(_sys, "set_int_max_str_digits"):
-    _sys.set_int_max_str_digits(0)
-
 __version__ = "0.1.0"
 
 from .errors import FormatError, WorkbenchError

@@ -478,6 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The CLI owns its process, so it sets two interpreter limits that the
+    # library leaves alone. Model search, evaluation, translation and the
+    # codec recurse once per level of a formula, and numerals nest as deep as
+    # their value; formula numbers run to hundreds of thousands of digits.
+    if sys.getrecursionlimit() < 20000:
+        sys.setrecursionlimit(20000)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

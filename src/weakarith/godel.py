@@ -22,6 +22,9 @@ The scheme, fixed once and for all:
     tag 10 forall   payload pair(str(var), body code)
     tag 11 exists   payload pair(str(var), body code)
 
+Names are single tokens of the interchange grammar (syntax.is_name_token):
+encoding refuses any other name with LanguageError and decoding raises
+NotACode for one, so every decoded formula prints as text that reads back.
 Encoding is injective by construction; decode is total on the range and
 raises NotACode elsewhere.
 """
@@ -32,7 +35,8 @@ from math import isqrt
 
 from .errors import WorkbenchError
 from .syntax import (And, App, Eq, Exists, FALSE, ForAll, Formula, Implies,
-                     Not, Or, Rel, Term, TRUE, Var, Verum, Falsum)
+                     LanguageError, Not, Or, Rel, Term, TRUE, Var, Verum, Falsum,
+                     is_name_token)
 
 
 class NotACode(WorkbenchError):
@@ -53,6 +57,8 @@ def unpair(c: int) -> tuple[int, int]:
 
 
 def _encode_str(s: str) -> int:
+    if not is_name_token(s):
+        raise LanguageError(f"name {s!r} is not one token of the grammar")
     data = s.encode("utf-8")
     return pair(len(data), int.from_bytes(data, "big"))
 
@@ -60,10 +66,12 @@ def _encode_str(s: str) -> int:
 def _decode_str(code: int) -> str:
     n, value = unpair(code)
     try:
-        data = value.to_bytes(n, "big")
-        return data.decode("utf-8")
+        name = value.to_bytes(n, "big").decode("utf-8")
     except (OverflowError, UnicodeDecodeError) as exc:
         raise NotACode(f"bad string payload {code}") from exc
+    if not is_name_token(name):
+        raise NotACode(f"name {name!r} is not one token of the grammar")
+    return name
 
 
 def _encode_list(codes) -> int:
@@ -90,16 +98,10 @@ def _encode_term(t: Term) -> int:
 def _decode_term(code: int) -> Term:
     tag, payload = unpair(code)
     if tag == 0:
-        name = _decode_str(payload)
-        if not name:
-            raise NotACode("empty variable name")
-        return Var(name)
+        return Var(_decode_str(payload))
     if tag == 1:
         name_code, args_code = unpair(payload)
-        name = _decode_str(name_code)
-        if not name:
-            raise NotACode("empty function name")
-        return App(name, tuple(_decode_term(c) for c in _decode_list(args_code)))
+        return App(_decode_str(name_code), tuple(_decode_term(c) for c in _decode_list(args_code)))
     raise NotACode(f"bad term tag {tag}")
 
 
@@ -135,10 +137,7 @@ def godel_decode(code: int) -> Formula:
     tag, payload = unpair(code)
     if tag == 2:
         name_code, args_code = unpair(payload)
-        name = _decode_str(name_code)
-        if not name:
-            raise NotACode("empty relation name")
-        return Rel(name, tuple(_decode_term(c) for c in _decode_list(args_code)))
+        return Rel(_decode_str(name_code), tuple(_decode_term(c) for c in _decode_list(args_code)))
     if tag == 3:
         lc, rc = unpair(payload)
         return Eq(_decode_term(lc), _decode_term(rc))
@@ -158,8 +157,6 @@ def godel_decode(code: int) -> Formula:
     if tag in (10, 11):
         var_code, body_code = unpair(payload)
         var = _decode_str(var_code)
-        if not var:
-            raise NotACode("empty bound variable name")
         cls = ForAll if tag == 10 else Exists
         return cls(var, godel_decode(body_code))
     raise NotACode(f"bad formula tag {tag}")

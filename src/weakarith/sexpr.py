@@ -8,19 +8,27 @@
 A bare identifier in term position is the nullary function of that name when
 the language declares one, otherwise a variable. Family symbols are written
 name#index. Canonical printing uses the bare form for nullary applications;
-parse(print(phi)) == phi.
+parse(print(phi)) is phi.
+
+One reader serves all three entry points and keeps open forms on an explicit
+stack (Aho, Lam, Sethi & Ullman, Compilers, 2nd ed., 4.4), as the printer
+does nodes, so only memory limits the depth. A form's head selects its entry
+in one table of connectives or opens an application; a symbol policy gives
+names their meaning. Errors come in reading order: an application's head is
+checked when read (for a fixed Language, its kind too), its arity at ')'.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import accumulate
-from operator import sub
+from operator import attrgetter, sub
 
 from .errors import FormatError
 from .syntax import (App, Eq, Exists, FALSE, ForAll, Formula, KIND_FUNCTION,
                      KIND_RELATION, Language, LanguageError, Not, Rel, RESERVED,
-                     Term, TRUE, Var, And, Or, Implies, Verum, Falsum, note_arity)
+                     SEPARATORS, Symbol, Term, TRUE, Var, And, Or, Implies,
+                     note_arity)
 
 
 class ParseError(FormatError):
@@ -33,13 +41,13 @@ class ParseError(FormatError):
 # one chunk per token: the separators before it, then a parenthesis or a
 # maximal run of name characters; the chunks tile the text up to any
 # trailing separators
-_CHUNK = re.compile(r"[ \t\r\n]*(?:[()]|[^() \t\r\n]+)")
+_CHUNK = re.compile(f"[{SEPARATORS}]*(?:[()]|[^(){SEPARATORS}]+)")
 
 
 def _tokenize(text: str) -> tuple[list[str], list[int]]:
     """The token texts and, in a parallel list, their start offsets."""
     chunks = _CHUNK.findall(text)
-    tokens = [c.lstrip(" \t\r\n") for c in chunks]
+    tokens = [c.lstrip(SEPARATORS) for c in chunks]
     starts = list(map(sub, accumulate(map(len, chunks)), map(len, tokens)))
     return tokens, starts
 
@@ -49,304 +57,246 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Reader:
-    """Single-pass recursive-descent reader over the token stream."""
+# --- symbol policies: each method refuses a token by raising LanguageError ------
 
-    def __init__(self, text: str, lang: Language):
-        self.text = text
-        self.tokens, self.starts = _tokenize(text)
-        self.pos = 0
-        self.lang = lang
+class _Declared:
+    """Names mean what a fixed Language declares."""
 
-    def fail(self, message: str, at: int | None = None) -> ParseError:
-        """A ParseError at token index at, or just past the last token."""
-        if at is not None:
-            offset = self.starts[at]
-        elif self.tokens:
-            offset = self.starts[-1] + len(self.tokens[-1])
-        else:
-            return ParseError(message, 1, 1)
-        return ParseError(message, *_position(self.text, offset))
+    def __init__(self, lang: Language):
+        self.lookup = lang.lookup
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def head(self, kind: str, name: str) -> int:
+        sym = self.lookup(name)
+        if sym is None:
+            what = "unbound family index" if "#" in name else f"unknown {kind} symbol"
+            raise LanguageError(f"{what} {name!r}")
+        if sym.kind != kind:
+            raise LanguageError(f"{name!r} is a {sym.kind} symbol, not a {kind}")
+        return sym.arity
 
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail("unexpected end of input")
-        self.pos += 1
-        return tok
+    def close(self, kind: str, name: str, arity: int, count: int) -> None:
+        if count != arity:
+            raise LanguageError(f"{kind} {name!r} expects {arity} arguments, got {count}")
 
-    def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok != text:
-            raise self.fail(f"expected {text!r}, found {tok!r}", self.pos - 1)
+    def atom(self, name: str) -> Formula:
+        sym = self.lookup(name)
+        if sym is None:
+            raise LanguageError(f"unknown relation symbol {name!r}")
+        if sym.kind != KIND_RELATION:
+            raise LanguageError(f"{name!r} is not a relation symbol")
+        self.close(KIND_RELATION, name, sym.arity, 0)
+        return Rel(name, ())
 
-    # -- terms --
-
-    def term(self) -> Term:
-        tok = self.next()
-        if tok == "(":
-            at = self.pos
-            head = self.next()
-            if head in ("(", ")"):
-                raise self.fail("expected a function symbol", at)
-            sym = self.lang.lookup(head)
-            if sym is None:
-                kind = "unbound family index" if "#" in head else "unknown function symbol"
-                raise self.fail(f"{kind} {head!r}", at)
-            if sym.kind != KIND_FUNCTION:
-                raise self.fail(f"{head!r} is a relation symbol, not a function", at)
-            args = self.arguments()
-            if len(args) != sym.arity:
-                raise self.fail(
-                    f"function {head!r} expects {sym.arity} arguments, got {len(args)}", at)
-            return App(head, args)
-        at = self.pos - 1
-        if tok == ")":
-            raise self.fail("unexpected ')'", at)
-        if tok in RESERVED:
-            raise self.fail(f"reserved word {tok!r} in term position", at)
-        sym = self.lang.lookup(tok)
+    def term(self, name: str) -> Term:
+        sym = self.lookup(name)
         if sym is not None:
             if sym.kind != KIND_FUNCTION:
-                raise self.fail(f"{tok!r} is a relation symbol, not a term", at)
-            if sym.arity != 0:
-                raise self.fail(f"function {tok!r} expects {sym.arity} arguments, got 0", at)
-            return App(tok, ())
-        if "#" in tok:
-            raise self.fail(f"unbound family index {tok!r}", at)
-        return Var(tok)
+                raise LanguageError(f"{name!r} is a relation symbol, not a term")
+            self.close(KIND_FUNCTION, name, sym.arity, 0)
+            return App(name, ())
+        if "#" in name:
+            raise LanguageError(f"unbound family index {name!r}")
+        return Var(name)
 
-    def arguments(self) -> tuple:
-        """Terms up to and including the closing parenthesis."""
-        args = []
-        while True:
-            nxt = self.peek()
-            if nxt is None:
-                raise self.fail("unexpected end of input")
-            if nxt == ")":
-                self.pos += 1
-                return tuple(args)
-            args.append(self.term())
+    def variable(self, name: str) -> str:
+        if name == "(" or name == ")":
+            raise LanguageError("expected a variable name")
+        if name in RESERVED or self.lookup(name) is not None:
+            raise LanguageError(f"{name!r} cannot be a bound variable")
+        return name
 
-    # -- formulas --
 
-    def formula(self) -> Formula:
-        tok = self.next()
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok == ")":
-            raise self.fail("unexpected ')'", self.pos - 1)
-        if tok != "(":
-            return self._bare_atom(tok, self.pos - 1)
-        at = self.pos
-        text = self.next()
-        if text == "not":
-            body = self.formula()
-            self.expect(")")
-            return Not(body)
-        if text in ("and", "or", "->"):
-            left = self.formula()
-            right = self.formula()
-            self.expect(")")
-            cls = {"and": And, "or": Or, "->": Implies}[text]
-            return cls(left, right)
-        if text in ("forall", "exists"):
-            var = self.next()
-            if var in ("(", ")"):
-                raise self.fail("expected a variable name", self.pos - 1)
-            if var in RESERVED or self.lang.lookup(var) is not None:
-                raise self.fail(f"{var!r} cannot be a bound variable", self.pos - 1)
-            body = self.formula()
-            self.expect(")")
-            cls = ForAll if text == "forall" else Exists
-            return cls(var, body)
-        if text == "=":
-            left = self.term()
-            right = self.term()
-            self.expect(")")
-            return Eq(left, right)
-        if text in ("(", ")"):
-            raise self.fail("expected a connective or relation symbol", at)
-        sym = self.lang.lookup(text)
-        if sym is None:
-            kind = "unbound family index" if "#" in text else "unknown relation symbol"
-            raise self.fail(f"{kind} {text!r}", at)
-        if sym.kind != KIND_RELATION:
-            raise self.fail(f"{text!r} is a function symbol, not a relation", at)
-        args = self.arguments()
-        if len(args) != sym.arity:
-            raise self.fail(
-                f"relation {text!r} expects {sym.arity} arguments, got {len(args)}", at)
-        return Rel(text, args)
+class _Recording:
+    """Names declare themselves at the arity they are used; any token can be bound."""
 
-    def _bare_atom(self, tok: str, at: int) -> Formula:
-        sym = self.lang.lookup(tok)
-        if sym is None:
-            raise self.fail(f"unknown relation symbol {tok!r}", at)
-        if sym.kind != KIND_RELATION:
-            raise self.fail(f"{tok!r} is not a relation symbol", at)
-        if sym.arity != 0:
-            raise self.fail(f"relation {tok!r} expects {sym.arity} arguments, got 0", at)
-        return Rel(tok, ())
+    def __init__(self):
+        self.tables: dict[str, dict[str, int]] = {KIND_RELATION: {}, KIND_FUNCTION: {}}
 
-    def finish(self) -> None:
-        """Fail on any token left after one complete formula or term."""
-        trailing = self.peek()
-        if trailing is not None:
-            raise self.fail(f"trailing input {trailing!r}", self.pos)
+    def head(self, kind: str, name: str) -> None:
+        if kind == KIND_FUNCTION and name in RESERVED:
+            raise LanguageError("expected a function symbol")
+
+    def close(self, kind: str, name: str, arity: None, count: int) -> None:
+        note_arity(self.tables[kind], name, count)
+
+    def atom(self, name: str) -> Formula:
+        note_arity(self.tables[KIND_RELATION], name, 0)
+        return Rel(name, ())
+
+    def term(self, name: str) -> Term:
+        if name[0].isdigit():
+            note_arity(self.tables[KIND_FUNCTION], name, 0)
+            return App(name, ())
+        return Var(name)
+
+    def variable(self, name: str) -> str:
+        return name
+
+
+# --- the reader -----------------------------------------------------------------
+
+# What the next token may be: the start of a formula, a term or a bound
+# variable, an application's next argument or its ')', or a complete form's ')'
+_FORMULA, _TERM, _VARIABLE, _ARGUMENT, _CLOSE = "formula", "term", "variable", "argument", "')'"
+
+# head token of a form -> (constructor, kinds of its children, in order)
+_CONNECTIVES = {
+    "not": (Not, (_FORMULA,)),
+    "and": (And, (_FORMULA, _FORMULA)),
+    "or": (Or, (_FORMULA, _FORMULA)),
+    "->": (Implies, (_FORMULA, _FORMULA)),
+    "forall": (ForAll, (_VARIABLE, _FORMULA)),
+    "exists": (Exists, (_VARIABLE, _FORMULA)),
+    "=": (Eq, (_TERM, _TERM)),
+}
+
+_TRUTH = {"true": TRUE, "false": FALSE}
+
+# any other head opens an application: (constructor, symbol kind, error for a parenthesis)
+_RELATION = (Rel, KIND_RELATION, "expected a connective or relation symbol")
+_FUNCTION = (App, KIND_FUNCTION, "expected a function symbol")
+
+
+def _read(text: str, want: str, policy):
+    """The one node of kind want that text holds, read under policy."""
+    tokens, starts = _tokenize(text)
+    starts.append(starts[-1] + len(tokens[-1]) if tokens else 0)  # just past the last token
+
+    def fail(message: str, at: int) -> ParseError:
+        return ParseError(message, *_position(text, starts[at]))
+
+    # an open form: [constructor, child kinds, children, index of its head],
+    # an application: [constructor, None, children, index, kind, head, answer]
+    stack: list[list] = []
+    push, pop = stack.append, stack.pop
+    kind = want
+    indexed = enumerate(tokens)
+    try:
+        for at, tok in indexed:
+            node = None
+            if kind is _CLOSE or kind is _ARGUMENT and tok == ")":
+                if tok != ")":
+                    raise fail(f"expected ')', found {tok!r}", at)
+                form = pop()
+                ctor, kinds, children = form[0], form[1], form[2]
+                if kinds is None:
+                    at = form[3]
+                    policy.close(form[4], form[5], form[6], len(children))
+                    node = ctor(form[5], tuple(children))
+                else:
+                    node = ctor(*children)
+            elif kind is _VARIABLE:
+                node = policy.variable(tok)
+            elif tok == "(":
+                at, head = next(indexed, (None, None))
+                if head is None:  # the text ends at '('
+                    break
+                if kind is _FORMULA and head in _CONNECTIVES:
+                    push([*_CONNECTIVES[head], [], at])
+                else:
+                    ctor, symbol_kind, paren = _RELATION if kind is _FORMULA else _FUNCTION
+                    if head == "(" or head == ")":
+                        raise fail(paren, at)
+                    push([ctor, None, [], at, symbol_kind, head, policy.head(symbol_kind, head)])
+            elif tok == ")":
+                raise fail("unexpected ')'", at)
+            elif kind is not _FORMULA:
+                if tok in RESERVED:
+                    raise fail(f"reserved word {tok!r} in term position", at)
+                node = policy.term(tok)
+            elif tok in _TRUTH:
+                node = _TRUTH[tok]
+            else:
+                node = policy.atom(tok)
+
+            # hand a complete node to the innermost open form, or return it
+            if node is not None:
+                if not stack:
+                    trailing = next(indexed, None)
+                    if trailing is not None:
+                        raise fail(f"trailing input {trailing[1]!r}", trailing[0])
+                    return node
+                stack[-1][2].append(node)
+            kinds, count = stack[-1][1], len(stack[-1][2])
+            if kinds is None:
+                kind = _ARGUMENT
+            else:
+                kind = kinds[count] if count < len(kinds) else _CLOSE
+        raise fail("unexpected end of input", len(tokens))
+    except LanguageError as exc:
+        raise fail(str(exc), at) from None
 
 
 def parse_formula(text: str, lang: Language) -> Formula:
-    reader = _Reader(text, lang)
-    phi = reader.formula()
-    reader.finish()
-    return phi
+    return _read(text, _FORMULA, _Declared(lang))
 
 
 def parse_term(text: str, lang: Language) -> Term:
-    reader = _Reader(text, lang)
-    t = reader.term()
-    reader.finish()
-    return t
+    return _read(text, _TERM, _Declared(lang))
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, Var) or not t.args:
-        return t.name
-    # an explicit stack of terms and literal tokens, joined once at the end,
-    # so numerals of any depth print without recursion
+def infer_language(texts) -> Language:
+    """Build a Language from usage in raw formula texts; the CLI's default.
+
+    Heads in formula and term position become relations and functions at the
+    applied arity. A bare name is a nullary relation in formula position; in
+    term position, a constant if it starts with a digit, else a variable.
+    """
+    policy = _Recording()
+    for text in texts:
+        _read(text, _FORMULA, policy)
+    return Language([Symbol(name, kind, arity) for kind, table in policy.tables.items()
+                     for name, arity in sorted(table.items())])
+
+
+# --- the printer ----------------------------------------------------------------
+
+_FORMS = {ctor: (word, attrgetter(*ctor.__match_args__)) for word, (ctor, _) in _CONNECTIVES.items()}
+_FORMS[Not] = ("not", lambda phi: (phi.body,))  # attrgetter of one field gives no tuple
+_CONSTANTS = {type(node): word for word, node in _TRUTH.items()}
+
+
+def _print(node) -> str:
+    """The canonical text of a node, built over an explicit stack of nodes and text."""
     out: list[str] = []
-    stack: list = [t]
-    pop, push = stack.pop, stack.append
+    stack: list = [node]
+    pop, push, emit = stack.pop, stack.append, out.append
     while stack:
         item = pop()
-        if type(item) is str:
-            out.append(item)
-        elif isinstance(item, Var) or not item.args:
-            out.append(item.name)
+        kind = type(item)
+        if kind is str:
+            emit(item)
+            continue
+        if kind is App or kind is Rel:
+            head, children = item.name, item.args
+        elif kind in _FORMS:
+            head, fields = _FORMS[kind]
+            children = fields(item)
+        elif kind is Var:
+            head, children = item.name, ()
+        elif kind in _CONSTANTS:
+            head, children = _CONSTANTS[kind], ()
         else:
-            out.append("(" + item.name)
-            push(")")
-            for a in reversed(item.args):
-                push(a)
+            raise TypeError(f"not a formula: {item!r}")
+        if not children:  # a leaf, or a nullary application in its bare form
+            emit(head)
+            continue
+        emit("(" + head)
+        push(")")
+        for child in reversed(children):
+            if type(child) is Var:
+                push(" " + child.name)
+            elif type(child) is str:
+                push(" " + child)
+            else:
+                push(child)
                 push(" ")
     return "".join(out)
 
 
+def print_term(t: Term) -> str:
+    return _print(t)
+
+
 def print_formula(phi: Formula) -> str:
-    if isinstance(phi, Verum):
-        return "true"
-    if isinstance(phi, Falsum):
-        return "false"
-    if isinstance(phi, Rel):
-        if not phi.args:
-            return phi.name
-        return "(" + " ".join([phi.name] + [print_term(a) for a in phi.args]) + ")"
-    if isinstance(phi, Eq):
-        return f"(= {print_term(phi.left)} {print_term(phi.right)})"
-    if isinstance(phi, Not):
-        return f"(not {print_formula(phi.body)})"
-    if isinstance(phi, And):
-        return f"(and {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, Or):
-        return f"(or {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, Implies):
-        return f"(-> {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, ForAll):
-        return f"(forall {phi.var} {print_formula(phi.body)})"
-    if isinstance(phi, Exists):
-        return f"(exists {phi.var} {print_formula(phi.body)})"
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def infer_language(texts) -> Language:
-    """Build a Language from usage in raw formula texts.
-
-    Heads in formula position become relations, heads in term position become
-    functions, both at the applied arity. A bare identifier in term position
-    becomes a nullary function when it starts with a digit, else a variable;
-    a bare identifier in formula position becomes a nullary relation. Used by
-    the CLI when no --lang is given.
-    """
-    rels: dict[str, int] = {}
-    funs: dict[str, int] = {}
-
-    def note(rd: "_Reader", table, name, arity, at):
-        try:
-            note_arity(table, name, arity)
-        except LanguageError as exc:
-            raise rd.fail(str(exc), at) from None
-
-    def scan_arguments(rd: "_Reader") -> int:
-        n = 0
-        while True:
-            nxt = rd.peek()
-            if nxt is None:
-                raise rd.fail("unexpected end of input")
-            if nxt == ")":
-                rd.pos += 1
-                return n
-            scan_term(rd)
-            n += 1
-
-    def scan_term(rd: "_Reader") -> None:
-        tok = rd.next()
-        if tok == "(":
-            at = rd.pos
-            head = rd.next()
-            if head in ("(", ")") or head in RESERVED:
-                raise rd.fail("expected a function symbol", at)
-            note(rd, funs, head, scan_arguments(rd), at)
-        elif tok == ")":
-            raise rd.fail("unexpected ')'", rd.pos - 1)
-        elif tok in RESERVED:
-            raise rd.fail(f"reserved word {tok!r} in term position", rd.pos - 1)
-        elif tok[0].isdigit():
-            note(rd, funs, tok, 0, rd.pos - 1)
-
-    def scan_formula(rd: "_Reader") -> None:
-        tok = rd.next()
-        if tok in ("true", "false"):
-            return
-        if tok == ")":
-            raise rd.fail("unexpected ')'", rd.pos - 1)
-        if tok != "(":
-            note(rd, rels, tok, 0, rd.pos - 1)
-            return
-        at = rd.pos
-        text = rd.next()
-        if text == "not":
-            scan_formula(rd)
-            rd.expect(")")
-        elif text in ("and", "or", "->"):
-            scan_formula(rd)
-            scan_formula(rd)
-            rd.expect(")")
-        elif text in ("forall", "exists"):
-            rd.next()
-            scan_formula(rd)
-            rd.expect(")")
-        elif text == "=":
-            scan_term(rd)
-            scan_term(rd)
-            rd.expect(")")
-        else:
-            if text in ("(", ")"):
-                raise rd.fail("expected a connective or relation symbol", at)
-            note(rd, rels, text, scan_arguments(rd), at)
-
-    from .syntax import Symbol
-    dummy = Language()
-    for text in texts:
-        rd = _Reader(text, dummy)
-        scan_formula(rd)
-        rd.finish()
-    # digit-led bare tokens inside scanned terms were noted as constants above
-    symbols = [Symbol(n, KIND_RELATION, a) for n, a in sorted(rels.items())]
-    symbols += [Symbol(n, KIND_FUNCTION, a) for n, a in sorted(funs.items())]
-    return Language(symbols)
+    return _print(phi)

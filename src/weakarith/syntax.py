@@ -25,6 +25,17 @@ KIND_FUNCTION = "function"
 # Tokens with fixed meaning in the grammar. Never legal as symbol or variable names.
 RESERVED = frozenset({"not", "and", "or", "->", "forall", "exists", "true", "false", "="})
 
+# The characters that separate tokens in the grammar. With the parentheses
+# they end a name; every other character, \f included, can occur in one.
+SEPARATORS = " \t\r\n"
+_NAME_BREAKS = frozenset("()" + SEPARATORS)
+
+
+def is_name_token(name: str) -> bool:
+    """True when name reads back as one name token: not empty, free of
+    separators and parentheses, and not a reserved word."""
+    return bool(name) and name not in RESERVED and _NAME_BREAKS.isdisjoint(name)
+
 
 class LanguageError(WorkbenchError):
     pass
@@ -70,7 +81,7 @@ class Language:
             self._families[fam.name] = fam
 
     def _check_name(self, name: str) -> None:
-        if not name or name in RESERVED or "#" in name or any(c in "() \t\n" for c in name):
+        if not is_name_token(name) or "#" in name:
             raise LanguageError(f"illegal symbol name {name!r}")
         if name in self._symbols or name in self._families:
             raise LanguageError(f"duplicate symbol name {name!r}")
@@ -168,8 +179,37 @@ class _Node:
         return self
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        """The dataclass text, Class(field=value, ...), over an explicit stack.
+
+        The stack holds nodes, tuples, other values and literal text; a
+        string value is pushed as its repr, so any string popped is text.
+        Deep numerals thus meet no recursion limit.
+        """
+        out: list[str] = []
+        stack: list = [self]
+        pop, push, emit = stack.pop, stack.append, out.append
+        while stack:
+            item = pop()
+            if type(item) is str:
+                emit(item)
+            elif type(item) is tuple:
+                emit("(")
+                push(",)" if len(item) == 1 else ")")
+                for k in range(len(item) - 1, -1, -1):
+                    push(repr(item[k]) if type(item[k]) is str else item[k])
+                    if k:
+                        push(", ")
+            elif isinstance(item, _Node):
+                fields = item.__match_args__
+                emit(type(item).__name__ + "(")
+                push(")")
+                for k in range(len(fields) - 1, -1, -1):
+                    value = getattr(item, fields[k])
+                    push(repr(value) if type(value) is str else value)
+                    push(f"{', ' if k else ''}{fields[k]}=")
+            else:
+                emit(repr(item))
+        return "".join(out)
 
 
 # --- terms ---------------------------------------------------------------

@@ -12,6 +12,7 @@ axiom for membership purposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .errors import FormatError, WorkbenchError
@@ -300,15 +301,21 @@ def size_unique(n: int) -> Formula:
 SET_MEMBER = "in"
 
 
+@cache
 def set_extent(n: int) -> Formula:
-    """Some set has exactly the n listed (distinct) members."""
+    """Some set has exactly the n listed (distinct) members.
+
+    Cached per n: the n(n-1)/2 distinctness atoms are interned nodes anyway,
+    and T-set membership compares with this very object.
+    """
     if n < 0:
         raise SchemeError("set extents are naturals")
     names = [f"x{i}" for i in range(n)]
-    distinct = [neq(Var(names[i]), Var(names[j]))
-                for i in range(n) for j in range(i + 1, n)]
-    member = Rel(SET_MEMBER, (Var("y"), Var("z")))
-    closure = ForAll("y", iff(member, or_all([Eq(Var("y"), Var(nm)) for nm in names])))
+    xs = [Var(nm) for nm in names]
+    y = Var("y")
+    distinct = [neq(xs[i], xs[j]) for i in range(n) for j in range(i + 1, n)]
+    member = Rel(SET_MEMBER, (y, Var("z")))
+    closure = ForAll("y", iff(member, or_all([Eq(y, x) for x in xs])))
     return Exists("z", _exists_many(names, and_all(distinct + [closure])))
 
 
@@ -612,7 +619,7 @@ def _extent_size(phi: Formula) -> int | None:
 def _tset_theory() -> Theory:
     def member(phi: Formula) -> bool:
         n = _extent_size(phi)
-        return n is not None and phi == set_extent(n)
+        return n is not None and phi is set_extent(n)
 
     return Theory("T-set", LANG_SET, set_extent, member)
 

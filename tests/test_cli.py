@@ -287,15 +287,23 @@ def test_deep_numeral_axiom_is_printed(capsys):
     assert capsys.readouterr().out == f"(= (* {num(130)} {num(130)}) {num(16900)})\n"
 
 
-def test_too_deep_input_is_an_error_line_not_a_traceback(capsys):
-    # the reader still recurses once per nesting level
+def test_too_deep_input_is_an_error_line_not_a_traceback(capsys, tmp_path):
+    # the codec still recurses once per nesting level
     text = "(not " * 30000 + "true" + ")" * 30000
-    assert main(["parse", "--text", text, "--lang", "Q"]) == 1
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    assert main(["godel", "--encode", str(path), "--lang", "Q"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_deep_input_parses_and_prints_back(capsys):
+    text = "(not " * 30000 + "true" + ")" * 30000
+    assert main(["parse", "--text", text, "--lang", "Q"]) == 0
+    assert capsys.readouterr().out == text + "\n"
 
 
 def _outcome(argv, capsys):
@@ -352,3 +360,38 @@ def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeyp
     with pytest.raises(AssertionError):
         main(verbs[0] + ["--summary"])
     assert len(calls) == 1
+
+
+# --- the interpreter limits belong to the CLI --------------------------------
+
+def test_importing_the_package_changes_no_interpreter_setting():
+    from fresh import run_python
+
+    got = run_python("-c", (
+        "import sys\n"
+        "before = sys.getrecursionlimit(), sys.get_int_max_str_digits()\n"
+        "import weakarith, weakarith.cli\n"
+        "assert (sys.getrecursionlimit(), sys.get_int_max_str_digits()) == before\n"))
+    assert got.returncode == 0, got.stderr
+
+
+def test_cli_raises_the_recursion_limit_for_deep_numerals(tmp_path):
+    from fresh import run_cli
+
+    numeral = "(S " * 3000 + "0" + ")" * 3000
+    path = tmp_path / "deep.txt"
+    path.write_text(f"(= {numeral} {numeral})\n")
+    got = run_cli("find-model", "--axioms", str(path), "--max-size", "2")
+    assert got.returncode == 0, got.stderr
+    assert "size 1" in got.stdout
+
+
+def test_cli_prints_codes_past_the_int_to_str_limit(tmp_path):
+    from fresh import run_cli
+
+    path = tmp_path / "phi.txt"
+    path.write_text("(forall x (= (S (S x)) x))")
+    got = run_cli("godel", "--encode", str(path), "--lang", "R")
+    assert got.returncode == 0, got.stderr
+    code = got.stdout.strip()
+    assert code.isdigit() and len(code) > 4300

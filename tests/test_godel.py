@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from weakarith.godel import NotACode, godel_decode, godel_encode, pair, unpair
 from weakarith.godel import _encode_str
 from weakarith.sexpr import parse_formula
-from weakarith.syntax import App, Rel, Var
+from weakarith.syntax import App, Eq, Rel, Var
 from weakarith.theories import get_language
 
 
@@ -73,3 +73,24 @@ def test_injective_on_small_corpus():
     assert len(codes) == len(corpus)
     for phi in corpus[:50]:
         assert godel_decode(godel_encode(phi)) == phi
+
+
+@pytest.mark.parametrize("name", ["a b", "a\rb", "a\tb", "a\nb", "(a", "a)", "not", "=", ""])
+def test_names_that_do_not_read_back_are_refused(name):
+    from weakarith.godel import pair
+    from weakarith.syntax import LanguageError
+
+    # the code godel_encode would give Eq(Var(name), Var('y')), built by hand
+    data = name.encode("utf-8")
+    name_code = pair(len(data), int.from_bytes(data, "big"))
+    code = pair(3, pair(pair(0, name_code), pair(0, _encode_str("y"))))
+    with pytest.raises(NotACode):
+        godel_decode(code)
+    with pytest.raises(LanguageError):
+        godel_encode(Eq(Var(name), Var("y")))
+
+
+def test_names_that_read_back_still_round_trip():
+    for name in ("a\fb", "x#2", "\x00x", "é"):
+        phi = Eq(Var(name), Var("y"))
+        assert godel_decode(godel_encode(phi)) is phi

@@ -222,3 +222,33 @@ def test_inferred_language_error_messages_are_pinned(texts, message):
     with pytest.raises(ParseError) as info:
         infer_language(texts)
     assert str(info.value) == message
+
+
+# --- depth ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    "Eq(numeral(50000), Var('x'))",
+    "functools.reduce(lambda phi, _: Not(phi), range(30000), TRUE)",
+])
+def test_deep_formulas_round_trip_at_the_default_recursion_limit(build):
+    from fresh import run_python
+
+    got = run_python("-c", (
+        "import functools\n"
+        "from weakarith.sexpr import parse_formula, print_formula\n"
+        "from weakarith.syntax import Eq, Not, TRUE, Var\n"
+        "from weakarith.theories import get_language, numeral\n"
+        f"phi = {build}\n"
+        "assert parse_formula(print_formula(phi), get_language('Q')) is phi\n"))
+    assert got.returncode == 0, got.stderr
+
+
+def test_names_with_a_separator_are_not_symbol_names():
+    from weakarith.syntax import KIND_RELATION, Language, LanguageError, Symbol
+
+    for name in ("a\rb", "a b", "a\tb", "a\nb", "a(b", "a)b"):
+        with pytest.raises(LanguageError):
+            Language([Symbol(name, KIND_RELATION, 0)])
+    # a form feed is a name character, as the tokenizer has it
+    lang = Language([Symbol("a\fb", KIND_RELATION, 0)])
+    assert parse_formula("(not a\fb)", lang) == Not(Rel("a\fb"))

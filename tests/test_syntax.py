@@ -607,3 +607,14 @@ def test_substitute_many_matches_the_plain_definition(phi, mapping):
     for var, term in mapping.items():
         want = print_formula(_ref_substitute(phi, {var: term}))
         assert print_formula(substitute(phi, var, term)) == want
+
+
+def test_repr_of_a_deep_numeral_at_the_default_recursion_limit():
+    from fresh import run_python
+
+    got = run_python("-c", (
+        "from weakarith.theories import numeral\n"
+        "text = repr(numeral(20000))\n"
+        "assert text == (\"App(name='S', args=(\" * 20000\n"
+        "                + \"App(name='0', args=())\" + ',))' * 20000)\n"))
+    assert got.returncode == 0, got.stderr

@@ -202,3 +202,12 @@ def test_scheme_instance_errors():
         scheme_instance("ax1", (1,))
     with pytest.raises(SchemeError):
         scheme_instance("mystery", (1, 2))
+
+
+def test_t_set_axioms_are_the_cached_extents():
+    from weakarith.theories import set_extent
+
+    tset = get_theory("T-set")
+    assert tset.axiom_of(7) is set_extent(7)
+    assert tset.is_axiom(parse_formula(print_formula(set_extent(4)), tset.language))
+    assert not tset.is_axiom(set_extent(3).body)
