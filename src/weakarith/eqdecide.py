@@ -6,7 +6,8 @@ of exactly s elements capped at r, plus the capped number of classes
 larger than r. Decisions therefore reduce to enumerating these capped
 histograms, realizing each one canonically, and evaluating the sentence
 on the realizations. Oracle knowledge enters only by constraining which
-histograms are admissible.
+histograms are admissible. Evaluation is the orbit game of eval_on_blocks,
+built on the two-valued evaluator core `structures.truth`.
 """
 
 from __future__ import annotations
@@ -16,19 +17,13 @@ from itertools import product as iterproduct
 
 from .errors import WorkbenchError
 from .machines import OraclePair
-from .structures import FiniteStructure
+from .structures import FiniteStructure, truth
 from .syntax import (
-    And,
     App,
     Eq,
-    Falsum,
     ForAll,
     Formula,
-    Implies,
-    Not,
-    Or,
     Rel,
-    Verum,
     free_variables,
     walk,
 )
@@ -169,6 +164,8 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
     only each already-picked element, one unused element per touched
     block, and one untouched block per distinct size. Cost depends on
     quantifier depth, never on how many elements the blocks hold.
+    Connectives go through `structures.truth` with the game state
+    (touched blocks, untouched sizes, assignment).
     """
     blocks = tuple(blocks)
     if not blocks:
@@ -177,29 +174,15 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
     for s in blocks:
         untouched0[s] = untouched0.get(s, 0) + 1
 
-    def rec(f: Formula, touched, untouched, asg) -> bool:
-        if isinstance(f, Rel):
-            a, b = (asg[t.name] for t in f.args)
+    def atom(f: Formula, state) -> bool:
+        touched, untouched, asg = state
+        t = type(f)
+        if t is Rel:
+            a, b = (asg[v.name] for v in f.args)
             return a[0] == b[0]
-        if isinstance(f, Eq):
+        if t is Eq:
             return asg[f.left.name] == asg[f.right.name]
-        if isinstance(f, Verum):
-            return True
-        if isinstance(f, Falsum):
-            return False
-        if isinstance(f, Not):
-            return not rec(f.body, touched, untouched, asg)
-        if isinstance(f, And):
-            return (rec(f.left, touched, untouched, asg)
-                    and rec(f.right, touched, untouched, asg))
-        if isinstance(f, Or):
-            return (rec(f.left, touched, untouched, asg)
-                    or rec(f.right, touched, untouched, asg))
-        if isinstance(f, Implies):
-            return (not rec(f.left, touched, untouched, asg)
-                    or rec(f.right, touched, untouched, asg))
-
-        want_all = isinstance(f, ForAll)
+        want_all = t is ForAll
         moves: list[tuple] = []
         for element in sorted(set(asg.values())):
             moves.append(("reuse", element))
@@ -221,12 +204,12 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
                 u2 = dict(untouched)
                 u2[what] -= 1
                 value = (len(touched), 0)
-            got = rec(f.body, t2, u2, {**asg, f.var: value})
+            got = truth(f.body, atom, (t2, u2, {**asg, f.var: value}))
             if got != want_all:
                 return got
         return want_all
 
-    return rec(phi, (), untouched0, {})
+    return truth(phi, atom, ((), untouched0, {}))
 
 
 def enumerate_profiles(r: int):

@@ -25,6 +25,13 @@ The scheme, fixed once and for all:
 Names are single tokens of the interchange grammar (syntax.is_name_token):
 encoding refuses any other name with LanguageError and decoding raises
 NotACode for one, so every decoded formula prints as text that reads back.
+
+Decoded size is capped: a string code whose byte length exceeds its own bit
+length raises NotACode before any bytes are allocated, so a short crafted
+code cannot ask for a gigabyte.  Encoding refuses the names that would give
+such a code with LanguageError; they are the names of n >= 6 bytes whose
+big-endian value is below about 2^(n/2), NUL but for at most their last
+n/16 bytes (six NULs are refused, "\x00x" is not).
 Encoding is injective by construction; decode is total on the range and
 raises NotACode elsewhere.
 """
@@ -60,11 +67,16 @@ def _encode_str(s: str) -> int:
     if not is_name_token(s):
         raise LanguageError(f"name {s!r} is not one token of the grammar")
     data = s.encode("utf-8")
-    return pair(len(data), int.from_bytes(data, "big"))
+    code = pair(len(data), int.from_bytes(data, "big"))
+    if len(data) > code.bit_length():
+        raise LanguageError(f"name {s!r} has more bytes than its code has bits")
+    return code
 
 
 def _decode_str(code: int) -> str:
     n, value = unpair(code)
+    if n > code.bit_length():
+        raise NotACode(f"string length {n} exceeds the {code.bit_length()} bits of its code")
     try:
         name = value.to_bytes(n, "big").decode("utf-8")
     except (OverflowError, UnicodeDecodeError) as exc:

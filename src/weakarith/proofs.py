@@ -5,6 +5,8 @@ three quantifier schemas (inst, dist, vac), the generalization rule, and
 equality schemas (eq-refl, eq-sym, eq-trans, plus congruence instances
 per function or relation symbol). Theory axioms enter by index. Each
 step cites only earlier steps; the last formula is the conclusion.
+Tautologies are checked by truth tables over the two-valued evaluator
+core, `structures.truth`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from itertools import product as iterproduct
 
 from .errors import FormatError, WorkbenchError
+from .structures import truth
 from .syntax import (
-    And,
     App,
     Eq,
     Exists,
@@ -25,7 +27,6 @@ from .syntax import (
     KIND_FUNCTION,
     KIND_RELATION,
     Not,
-    Or,
     Rel,
     Term,
     Verum,
@@ -381,23 +382,11 @@ def is_tautology(phi: Formula) -> bool:
     if len(atoms) > ATOM_LIMIT:
         raise TooManyAtoms(f"{len(atoms)} distinct atoms, limit {ATOM_LIMIT}")
 
-    def value(f: Formula, row) -> bool:
-        if isinstance(f, (Rel, Eq, ForAll, Exists)):
-            return row[index[f]]
-        if isinstance(f, Verum):
-            return True
-        if isinstance(f, Falsum):
-            return False
-        if isinstance(f, Not):
-            return not value(f.body, row)
-        if isinstance(f, And):
-            return value(f.left, row) and value(f.right, row)
-        if isinstance(f, Or):
-            return value(f.left, row) or value(f.right, row)
-        return (not value(f.left, row)) or value(f.right, row)
+    def atom(f: Formula, row) -> bool:
+        return row[index[f]]
 
     for row in iterproduct((False, True), repeat=len(atoms)):
-        if not value(phi, row):
+        if not truth(phi, atom, row):
             return False
     return True
 

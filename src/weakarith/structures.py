@@ -1,9 +1,16 @@
-"""Finite structures and brute-force Tarskian evaluation.
+"""Finite structures and the two-valued evaluator core.
+
+`truth(f, atom, state)` settles the connectives (Not, And, Or, Implies,
+Verum, Falsum) left to right with the usual short-circuits and hands every
+other node to `atom(node, state)`.  Tarskian `eval_formula` (here), the
+truth tables of `proofs.is_tautology` and the orbit game of
+`eqdecide.eval_on_blocks` are built on it; model search keeps its own
+compiled three-valued core.
 
 A structure interprets function symbols by flat row-major tables and
 relation symbols by sets of tuples.  Interpretations may cover only part
 of an infinite language; evaluation demands interpretations for exactly
-the symbols that occur in the formula at hand.
+the symbols that occur in the formula at hand, in the order it meets them.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from typing import Mapping
 from .errors import FormatError, WorkbenchError
 from .syntax import (
     And,
-    App,
     Eq,
     Exists,
     Falsum,
@@ -53,9 +59,6 @@ class FiniteStructure:
         if self.size < 1:
             raise StructureError("structures need a nonempty universe")
 
-    def interprets(self, name: str) -> bool:
-        return name in self.functions or name in self.relations
-
     def fun_value(self, name: str, args) -> int:
         table = self.functions.get(name)
         if table is None:
@@ -86,39 +89,44 @@ def eval_term(structure: FiniteStructure, t: Term, assignment: Mapping[str, int]
                                         for a in t.args])
 
 
+def truth(f: Formula, atom, state) -> bool:
+    """Two-valued value of f; every non-connective node goes to atom(node, state)."""
+    t = type(f)
+    if t is Not:
+        return not truth(f.body, atom, state)
+    if t is And:
+        return truth(f.left, atom, state) and truth(f.right, atom, state)
+    if t is Or:
+        return truth(f.left, atom, state) or truth(f.right, atom, state)
+    if t is Implies:
+        return not truth(f.left, atom, state) or truth(f.right, atom, state)
+    if t is Verum:
+        return True
+    if t is Falsum:
+        return False
+    return atom(f, state)
+
+
 def eval_formula(structure: FiniteStructure, phi: Formula,
                  assignment: Mapping[str, int] | None = None) -> bool:
     """Tarskian truth by exhaustive quantifier expansion."""
-    sigma = dict(assignment) if assignment else {}
     k = structure.size
 
-    def rec(f: Formula) -> bool:
-        if isinstance(f, Rel):
+    def atom(f: Formula, sigma: dict[str, int]) -> bool:
+        t = type(f)
+        if t is Rel:
             return structure.rel_holds(
                 f.name, [eval_term(structure, a, sigma) for a in f.args])
-        if isinstance(f, Eq):
+        if t is Eq:
             return (eval_term(structure, f.left, sigma)
                     == eval_term(structure, f.right, sigma))
-        if isinstance(f, Verum):
-            return True
-        if isinstance(f, Falsum):
-            return False
-        if isinstance(f, Not):
-            return not rec(f.body)
-        if isinstance(f, And):
-            return rec(f.left) and rec(f.right)
-        if isinstance(f, Or):
-            return rec(f.left) or rec(f.right)
-        if isinstance(f, Implies):
-            return (not rec(f.left)) or rec(f.right)
-        if isinstance(f, (ForAll, Exists)):
-            want_all = isinstance(f, ForAll)
+        if t is ForAll or t is Exists:
+            want_all = t is ForAll
             old = sigma.get(f.var, _MISSING)
             try:
                 for a in range(k):
                     sigma[f.var] = a
-                    got = rec(f.body)
-                    if got != want_all:
+                    if truth(f.body, atom, sigma) != want_all:
                         return not want_all
                 return want_all
             finally:
@@ -128,7 +136,7 @@ def eval_formula(structure: FiniteStructure, phi: Formula,
                     sigma[f.var] = old
         raise StructureError(f"not a formula: {f!r}")
 
-    return rec(phi)
+    return truth(phi, atom, dict(assignment) if assignment else {})
 
 
 _MISSING = object()

@@ -94,7 +94,7 @@ class Language:
         if "#" in token:
             fam_name, _, idx_text = token.rpartition("#")
             fam = self._families.get(fam_name)
-            if fam is None or not idx_text.isdigit():
+            if fam is None or not (idx_text.isascii() and idx_text.isdigit()):
                 return None
             arity = fam.arity_of(int(idx_text))
             if arity is None:

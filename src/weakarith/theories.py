@@ -17,7 +17,7 @@ from typing import Callable
 
 from .errors import FormatError, WorkbenchError
 from .godel import pair, unpair
-from .machines import OraclePair, decode_program, load_pair_spec, run_bounded
+from .machines import OraclePair, load_pair_spec
 from .syntax import (
     KIND_FUNCTION,
     KIND_RELATION,
@@ -675,29 +675,6 @@ def make_e_theory(pair_: OraclePair, name: str = "E") -> Theory:
         return phi if kind == 1 else Not(phi)
 
     return Theory(name, LANG_EQREL, ax_fn, None)
-
-
-def make_prf_theory(name: str = "prf-facts") -> Theory:
-    """Evaluation facts of the machine-indexed partial functions.
-
-    Even indices enumerate distinctness of the numeral constants; odd
-    indices sweep (machine, input, budget) triples and emit f(c) = c'
-    whenever the bounded run halts, padding otherwise.
-    """
-
-    def ax_fn(i: int) -> Formula:
-        kind, j = i % 2, i // 2
-        if kind == 0:
-            m, n = offdiag(j)
-            return neq(App(f"c#{m}"), App(f"c#{n}"))
-        a, s = unpair(j)
-        e, n = unpair(a)
-        out = run_bounded(decode_program(e), n, s)
-        if out is None:
-            return PADDING
-        return Eq(App(f"f#{e}", (App(f"c#{n}"),)), App(f"c#{out}"))
-
-    return Theory(name, LANG_PRF, ax_fn, None)
 
 
 def make_product(first: Theory, second: Theory) -> Theory:

@@ -55,6 +55,11 @@ def test_parse_bad_formula_is_usage_failure(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_non_ascii_family_index_is_unbound(capsys):
+    assert main(["parse", "--text", "(= (f#\u00b2 x) x)", "--lang", "prf"]) == 2
+    assert capsys.readouterr().err == "error: 1:5: unbound family index 'f#\u00b2'\n"
+
+
 def test_axioms_prints_one_per_line(capsys):
     assert main(["axioms", "R", "--count", "5"]) == 0
     assert capsys.readouterr().out == (
@@ -218,6 +223,18 @@ def test_godel_encode_decode(tmp_path, capsys):
     assert capsys.readouterr().out == "(= 0 0)\n"
     assert main(["godel", "--decode", "7"]) == 1
     assert capsys.readouterr().err.startswith("not a code:")
+
+
+def test_godel_decode_refuses_a_code_asking_for_a_gigabyte(capsys):
+    from weakarith.godel import pair
+
+    # Eq(Var(name), Var(name)) for a name of 10**9 NUL bytes, in 141 digits
+    v = pair(0, pair(10**9, 0))
+    code = str(pair(3, pair(v, v)))
+    assert len(code) == 141
+    assert main(["godel", "--decode", code]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("not a code:") and err.count("\n") == 1
 
 
 def test_independence_table_golden(capsys):

@@ -94,3 +94,37 @@ def test_names_that_read_back_still_round_trip():
     for name in ("a\fb", "x#2", "\x00x", "é"):
         phi = Eq(Var(name), Var("y"))
         assert godel_decode(godel_encode(phi)) is phi
+
+
+def test_decoded_string_length_is_capped_by_the_code_bits():
+    import tracemalloc
+
+    # a Var of 10**7 NUL bytes: a 46-bit string code asking for 10 MB
+    code = pair(3, pair(*[pair(0, pair(10**7, 0))] * 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotACode, match="string length 10000000 exceeds"):
+            godel_decode(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("name", ["\x00" * 6, "\x00" * 9 + "\x07", "\x00" * 64 + "x"])
+def test_names_past_the_cap_are_refused_both_ways(name):
+    from weakarith.syntax import LanguageError
+
+    data = name.encode("utf-8")
+    name_code = pair(len(data), int.from_bytes(data, "big"))
+    assert len(data) > name_code.bit_length()
+    with pytest.raises(NotACode):
+        godel_decode(pair(3, pair(pair(0, name_code), pair(0, _encode_str("y")))))
+    with pytest.raises(LanguageError, match="more bytes than its code has bits"):
+        godel_encode(Eq(Var(name), Var("y")))
+
+
+def test_names_under_the_cap_still_round_trip():
+    for name in ("\x00" * 5, "\x00" * 6 + "x", "\x00" * 15 + "\xff"):
+        phi = Eq(Var(name), Var("y"))
+        assert godel_decode(godel_encode(phi)) is phi

@@ -11,7 +11,7 @@ from weakarith.structures import (
     format_structure,
     parse_structure,
 )
-from weakarith.syntax import App, Var
+from weakarith.syntax import TRUE, And, App, Eq, Or, Rel, Var
 from weakarith.theories import get_language
 
 LANG = get_language("R")
@@ -34,6 +34,18 @@ def test_eval_term_tables():
     assert eval_term(MOD3, App("S", (App("0"),)), {}) == 1
     assert eval_term(MOD3, App("+", (Var("x"), Var("y"))),
                      {"x": 2, "y": 2}) == 1
+
+
+def test_evaluation_is_lazy_and_left_to_right():
+    bare = FiniteStructure(1, {}, {})
+    # the right disjunct is never looked at, so P needs no interpretation
+    assert eval_formula(bare, Or(TRUE, Rel("P"))) is True
+    with pytest.raises(StructureError) as err:
+        eval_formula(bare, And(Rel("P"), TRUE))
+    assert str(err.value) == "no interpretation for relation 'P'"
+    with pytest.raises(StructureError) as err:
+        eval_formula(bare, Eq(Var("x"), Var("x")))
+    assert str(err.value) == "variable 'x' has no assigned value"
 
 
 def test_eval_formula_connectives():

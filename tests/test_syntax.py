@@ -148,6 +148,15 @@ def test_validate_formula_checks_language():
         validate_formula(Eq(App("S", (zero, zero)), zero), LANG)
 
 
+def test_lookup_takes_only_ascii_family_indices():
+    prf = get_language("prf")
+    assert prf.lookup("f#2").arity == 1
+    assert prf.lookup("c#10").arity == 0
+    # '²' and '٣' are str.isdigit() but not indices
+    for token in ("f#²", "c#٣", "f#", "f#x", "f#-1"):
+        assert prf.lookup(token) is None
+
+
 def test_classify_formula():
     assert classify_formula(ForAll("x", Eq(x, x))) == "Pi1"
     assert classify_formula(Exists("x", Eq(x, x))) == "Sigma1"
