@@ -38,15 +38,16 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _formula_from_args(args, attr_file="file", attr_text="text"):
-    file_arg = getattr(args, attr_file, None)
-    text_arg = getattr(args, attr_text, None)
-    if (file_arg is None) == (text_arg is None):
-        raise FormatError("give exactly one of the file and inline forms")
-    text = _read(file_arg) if file_arg is not None else text_arg
-    lang = get_language(args.lang) if getattr(args, "lang", None) else \
-        infer_language([text])
-    return parse_formula(text, lang)
+def _text_arg(args) -> str:
+    """The formula text of --file or --text, exactly one of which is given."""
+    if (args.file is None) == (args.text is None):
+        raise FormatError("give exactly one of --file and --text")
+    return _read(args.file) if args.file is not None else args.text
+
+
+def _parse_text(text: str, lang):
+    """One formula, read in lang if given, else in the language inferred from it."""
+    return parse_formula(text, lang or infer_language([text]))
 
 
 def _summary(args, **kv) -> None:
@@ -58,9 +59,9 @@ def _summary(args, **kv) -> None:
 # --- verb handlers ------------------------------------------------------------
 
 def _do_parse(args) -> int:
-    phi = _formula_from_args(args)
     from .syntax import formula_size
 
+    phi = _parse_text(_text_arg(args), args.lang and get_language(args.lang))
     print(print_formula(phi))
     if args.summary:
         _summary(args, ok=1, nodes=formula_size(phi))
@@ -86,10 +87,7 @@ def _do_translate(args) -> int:
     from .translate import translate_formula
 
     tr = _load_translation(args.translation)
-    text = _read(args.file) if args.file is not None else args.text
-    if (args.file is None) == (args.text is None):
-        raise FormatError("give exactly one of --file and --text")
-    phi = parse_formula(text, tr.source)
+    phi = _parse_text(_text_arg(args), tr.source)
     out = translate_formula(tr, phi)
     print(print_formula(out))
     if args.summary:
@@ -155,9 +153,7 @@ def _do_find_model(args) -> int:
 
 
 def _decide_sentence(args):
-    text = _read(args.sentence)
-    lang = get_language(args.lang) if args.lang else get_language("eq")
-    return parse_formula(text, lang)
+    return parse_formula(_read(args.sentence), get_language(args.lang or "eq"))
 
 
 def _render_profile(p) -> str:
@@ -261,9 +257,7 @@ def _do_godel(args) -> int:
     if (args.encode is None) == (args.decode is None):
         raise FormatError("give exactly one of --encode and --decode")
     if args.encode is not None:
-        lang = get_language(args.lang) if args.lang else \
-            infer_language([_read(args.encode)])
-        phi = parse_formula(_read(args.encode), lang)
+        phi = _parse_text(_read(args.encode), args.lang and get_language(args.lang))
         code = godel_encode(phi)
         print(code)
         _summary(args, code=code)
@@ -479,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # The CLI owns its process, so it sets two interpreter limits that the
-    # library leaves alone. Model search, evaluation, translation and the
-    # codec recurse once per level of a formula, and numerals nest as deep as
-    # their value; formula numbers run to hundreds of thousands of digits.
+    # library leaves alone. Model search, evaluation and translation recurse
+    # once per level of a formula, and numerals nest as deep as their value;
+    # formula numbers run to hundreds of thousands of digits.
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
     if hasattr(sys, "set_int_max_str_digits"):

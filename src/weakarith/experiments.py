@@ -15,8 +15,8 @@ from typing import Callable
 
 from .errors import WorkbenchError
 from .machines import OraclePair
-from .syntax import KIND_RELATION, Formula, Not, Rel, Var
-from .theories import Theory, numeral, numeral_value, size_exists
+from .syntax import KIND_RELATION, Formula, Not, Rel
+from .theories import Theory, numeral_value, predicate_atom, size_exists
 
 
 PROVABLE = "provable"
@@ -47,23 +47,14 @@ class DeciderHandle:
 
 # --- the predicate sentence family -----------------------------------------
 
-def predicate_atom(n: int) -> Formula:
-    """The sentence asserting the predicate holds at the n-th numeral."""
-    return Rel("P", (numeral(n),))
-
-
 def classify_predicate_literal(phi: Formula) -> tuple[int, bool] | None:
     """(n, polarity) when phi is the atom at numeral n or its negation."""
-    positive = True
-    if isinstance(phi, Not):
-        positive = False
-        phi = phi.body
-    if isinstance(phi, Rel) and phi.name == "P" and len(phi.args) == 1:
-        arg = phi.args[0]
-        if not isinstance(arg, Var):
-            n = numeral_value(arg)
-            if n is not None:
-                return n, positive
+    positive = type(phi) is not Not
+    atom = phi if positive else phi.body
+    if type(atom) is Rel and atom.name == "P" and len(atom.args) == 1:
+        n = numeral_value(atom.args[0])
+        if n is not None:
+            return n, positive
     return None
 
 
@@ -111,7 +102,6 @@ def equivalence_decider(pair: OraclePair, stage: int) -> DeciderHandle:
     harnesses.
     """
     from .eqdecide import decide
-    from .theories import size_exists
 
     def fn(phi: Formula) -> str:
         positive = True

@@ -9,18 +9,11 @@ The scheme, fixed once and for all:
 
     node         = pair(tag, payload)
 
-    tag  0 Var      payload str(name)
-    tag  1 App      payload pair(str(name), list(arg codes))
-    tag  2 Rel      payload pair(str(name), list(arg codes))
-    tag  3 Eq       payload pair(left code, right code)
-    tag  4 true     payload 0
-    tag  5 false    payload 0
-    tag  6 not      payload body code
-    tag  7 and      payload pair(left, right)
-    tag  8 or       payload pair(left, right)
-    tag  9 ->       payload pair(left, right)
-    tag 10 forall   payload pair(str(var), body code)
-    tag 11 exists   payload pair(str(var), body code)
+A node's tag is its row in _TABLE (Var 0, App 1, Rel 2, Eq 3, true 4,
+false 5, not 6, and 7, or 8, -> 9, forall 10, exists 11), which gives the
+kinds of its fields in order: a name is coded by str, an argument list by
+list of its term codes. The payload is 0 with no field, the field's code
+with one, pair(first, second) with two.
 
 Names are single tokens of the interchange grammar (syntax.is_name_token):
 encoding refuses any other name with LanguageError and decoding raises
@@ -34,6 +27,11 @@ big-endian value is below about 2^(n/2), NUL but for at most their last
 n/16 bytes (six NULs are refused, "\x00x" is not).
 Encoding is injective by construction; decode is total on the range and
 raises NotACode elsewhere.
+
+Both directions recurse once per level, and no recursion limit ever binds:
+a code at least doubles its bits per level, so decoding goes at most log2
+of the code's bit length deep, and encoding a formula nested a few dozen
+levels deep would already give a code too large to compute.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import WorkbenchError
-from .syntax import (And, App, Eq, Exists, FALSE, ForAll, Formula, Implies,
-                     LanguageError, Not, Or, Rel, Term, TRUE, Var, Verum, Falsum,
-                     is_name_token)
+from .syntax import (And, App, Eq, Exists, ForAll, Formula, Implies, LanguageError,
+                     Not, Or, Rel, Var, Verum, Falsum, is_name_token)
 
 
 class NotACode(WorkbenchError):
@@ -86,14 +83,14 @@ def _decode_str(code: int) -> str:
     return name
 
 
-def _encode_list(codes) -> int:
+def encode_list(codes) -> int:
     acc = 0
     for c in reversed(list(codes)):
         acc = pair(c, acc) + 1
     return acc
 
 
-def _decode_list(code: int) -> list[int]:
+def decode_list(code: int) -> list[int]:
     items = []
     while code != 0:
         head, code = unpair(code - 1)
@@ -101,74 +98,58 @@ def _decode_list(code: int) -> list[int]:
     return items
 
 
-def _encode_term(t: Term) -> int:
-    if isinstance(t, Var):
-        return pair(0, _encode_str(t.name))
-    return pair(1, pair(_encode_str(t.name), _encode_list(_encode_term(a) for a in t.args)))
+NAME, ARGS, TERM, FORMULA = "name", "args", "term", "formula"
+
+_TABLE = (
+    (Var, TERM, (NAME,)),
+    (App, TERM, (NAME, ARGS)),
+    (Rel, FORMULA, (NAME, ARGS)),
+    (Eq, FORMULA, (TERM, TERM)),
+    (Verum, FORMULA, ()),
+    (Falsum, FORMULA, ()),
+    (Not, FORMULA, (FORMULA,)),
+    (And, FORMULA, (FORMULA, FORMULA)),
+    (Or, FORMULA, (FORMULA, FORMULA)),
+    (Implies, FORMULA, (FORMULA, FORMULA)),
+    (ForAll, FORMULA, (NAME, FORMULA)),
+    (Exists, FORMULA, (NAME, FORMULA)),
+)
+# class -> (tag, kind, (field kind, attribute name) in field order)
+_ROWS = {cls: (tag, kind, tuple(zip(fields, cls.__match_args__)))
+         for tag, (cls, kind, fields) in enumerate(_TABLE)}
 
 
-def _decode_term(code: int) -> Term:
+def _encode(node, kind: str) -> int:
+    row = _ROWS.get(type(node))
+    if row is None or row[1] != kind:
+        raise TypeError(f"not a {kind}: {node!r}")
+    tag, _, fields = row
+    codes = [_encode_str(getattr(node, name)) if field == NAME
+             else encode_list([_encode(a, TERM) for a in getattr(node, name)]) if field == ARGS
+             else _encode(getattr(node, name), field)
+             for field, name in fields]
+    return pair(tag, pair(*codes) if len(codes) == 2 else codes[0] if codes else 0)
+
+
+def _decode(code: int, kind: str):
     tag, payload = unpair(code)
-    if tag == 0:
-        return Var(_decode_str(payload))
-    if tag == 1:
-        name_code, args_code = unpair(payload)
-        return App(_decode_str(name_code), tuple(_decode_term(c) for c in _decode_list(args_code)))
-    raise NotACode(f"bad term tag {tag}")
-
-
-_BIN_TAGS = {7: And, 8: Or, 9: Implies}
+    if tag >= len(_TABLE) or _TABLE[tag][1] != kind:
+        raise NotACode(f"bad {kind} tag {tag}")
+    cls, _, fields = _TABLE[tag]
+    if not fields:
+        if payload != 0:
+            raise NotACode(f"nonzero payload on {'true' if cls is Verum else 'false'}")
+        return cls()
+    codes = unpair(payload) if len(fields) == 2 else (payload,)
+    return cls(*[_decode_str(c) if field == NAME
+                 else tuple(_decode(a, TERM) for a in decode_list(c)) if field == ARGS
+                 else _decode(c, field)
+                 for field, c in zip(fields, codes)])
 
 
 def godel_encode(phi: Formula) -> int:
-    if isinstance(phi, Rel):
-        payload = pair(_encode_str(phi.name), _encode_list(_encode_term(a) for a in phi.args))
-        return pair(2, payload)
-    if isinstance(phi, Eq):
-        return pair(3, pair(_encode_term(phi.left), _encode_term(phi.right)))
-    if isinstance(phi, Verum):
-        return pair(4, 0)
-    if isinstance(phi, Falsum):
-        return pair(5, 0)
-    if isinstance(phi, Not):
-        return pair(6, godel_encode(phi.body))
-    if isinstance(phi, And):
-        return pair(7, pair(godel_encode(phi.left), godel_encode(phi.right)))
-    if isinstance(phi, Or):
-        return pair(8, pair(godel_encode(phi.left), godel_encode(phi.right)))
-    if isinstance(phi, Implies):
-        return pair(9, pair(godel_encode(phi.left), godel_encode(phi.right)))
-    if isinstance(phi, ForAll):
-        return pair(10, pair(_encode_str(phi.var), godel_encode(phi.body)))
-    if isinstance(phi, Exists):
-        return pair(11, pair(_encode_str(phi.var), godel_encode(phi.body)))
-    raise TypeError(f"not a formula: {phi!r}")
+    return _encode(phi, FORMULA)
 
 
 def godel_decode(code: int) -> Formula:
-    tag, payload = unpair(code)
-    if tag == 2:
-        name_code, args_code = unpair(payload)
-        return Rel(_decode_str(name_code), tuple(_decode_term(c) for c in _decode_list(args_code)))
-    if tag == 3:
-        lc, rc = unpair(payload)
-        return Eq(_decode_term(lc), _decode_term(rc))
-    if tag == 4:
-        if payload != 0:
-            raise NotACode("nonzero payload on true")
-        return TRUE
-    if tag == 5:
-        if payload != 0:
-            raise NotACode("nonzero payload on false")
-        return FALSE
-    if tag == 6:
-        return Not(godel_decode(payload))
-    if tag in _BIN_TAGS:
-        lc, rc = unpair(payload)
-        return _BIN_TAGS[tag](godel_decode(lc), godel_decode(rc))
-    if tag in (10, 11):
-        var_code, body_code = unpair(payload)
-        var = _decode_str(var_code)
-        cls = ForAll if tag == 10 else Exists
-        return cls(var, godel_decode(body_code))
-    raise NotACode(f"bad formula tag {tag}")
+    return _decode(code, FORMULA)

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import FormatError, WorkbenchError
-from .godel import pair, unpair
+from .godel import decode_list, encode_list, pair, unpair
 
 INC = "inc"
 DECJZ = "decjz"
@@ -147,18 +147,12 @@ def _decode_instruction(code: int) -> Instruction:
 
 
 def encode_program(program: Program) -> int:
-    acc = 0
-    for op in reversed(program.instructions):
-        acc = pair(_encode_instruction(op), acc) + 1
-    return acc
+    return encode_list(_encode_instruction(op) for op in program.instructions)
 
 
 def decode_program(code: int) -> Program:
     """Total decoding; jump targets out of range normalize to immediate halt."""
-    instrs = []
-    while code != 0:
-        head, code = unpair(code - 1)
-        instrs.append(_decode_instruction(head))
+    instrs = [_decode_instruction(c) for c in decode_list(code)]
     if any(op[0] == DECJZ and op[2] > len(instrs) for op in instrs):
         return Program((HALT_INSTR,))
     return Program(tuple(instrs))

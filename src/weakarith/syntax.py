@@ -15,7 +15,7 @@ every language implicitly supports (= t u).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import WorkbenchError
 
@@ -52,13 +52,13 @@ class Symbol:
 class SymbolFamily:
     """Indexed symbol family, written name#index in the grammar.
 
-    arity_of returns the arity for a given index, or None when the index is
-    not part of the family (an unbound-family reference).
+    Every member has the family's one arity; any index of ASCII digits names
+    a member.
     """
 
     name: str
     kind: str
-    arity_of: Callable[[int], int | None]
+    arity: int
 
 
 class Language:
@@ -96,10 +96,7 @@ class Language:
             fam = self._families.get(fam_name)
             if fam is None or not (idx_text.isascii() and idx_text.isdigit()):
                 return None
-            arity = fam.arity_of(int(idx_text))
-            if arity is None:
-                return None
-            return Symbol(token, fam.kind, arity)
+            return Symbol(token, fam.kind, fam.arity)
         return None
 
     def symbols(self) -> tuple[Symbol, ...]:

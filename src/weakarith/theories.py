@@ -3,7 +3,9 @@
 A Theory bundles a language, a total enumerator axiom_of(i), and, when the
 axiom set is decidable, a literal membership test is_axiom.  Scheme-based
 theories sweep (scheme, parameter) diagonally through the Cantor pairing,
-so the enumerator is total and stable across runs.  Theories built from a
+so the enumerator is total and stable across runs; a formula is one of their
+axioms when rebuilding a scheme from the parameters its shape shows gives
+that same (interned) node, so no scheme is stated twice.  Theories built from a
 staged oracle pair emit a padding tautology for slots whose membership
 fact has not been enumerated yet; the padding sentence never counts as an
 axiom for membership purposes.
@@ -16,7 +18,7 @@ from functools import cache
 from typing import Callable
 
 from .errors import FormatError, WorkbenchError
-from .godel import pair, unpair
+from .godel import unpair
 from .machines import OraclePair, load_pair_spec
 from .syntax import (
     KIND_FUNCTION,
@@ -161,8 +163,8 @@ LANG_PREDICATE_ARITH = Language([
 
 # numeral constants c#n and one unary symbol f#e per machine code e
 LANG_PRF = Language([], [
-    SymbolFamily("c", KIND_FUNCTION, lambda i: 0),
-    SymbolFamily("f", KIND_FUNCTION, lambda i: 1),
+    SymbolFamily("c", KIND_FUNCTION, 0),
+    SymbolFamily("f", KIND_FUNCTION, 1),
 ])
 
 
@@ -258,17 +260,15 @@ def equivalence_axiom(j: int) -> Formula:
     raise SchemeError("equivalence axioms are numbered 0, 1, 2")
 
 
-def _class_of_size(owner: str, n: int, prefix: str) -> Formula:
-    """Open formula: the class of `owner` has exactly n members.
+def _class_is(owner: str, names: list[str], w: str) -> Formula:
+    """The class of `owner` is exactly the named (bound) members.
 
-    Bound names are prefix1..prefixN plus prefix0 for the closure variable,
-    so two copies with different prefixes can sit side by side.
+    w is the bound variable of the closure clause; `owner` may itself be
+    one of the names.
     """
-    names = [f"{prefix}{i}" for i in range(1, n + 1)]
-    w = f"{prefix}0"
     related = [_erel(Var(owner), Var(nm)) for nm in names]
     distinct = [neq(Var(names[i]), Var(names[j]))
-                for i in range(n) for j in range(i + 1, n)]
+                for i in range(len(names)) for j in range(i + 1, len(names))]
     closure = ForAll(w, Implies(_erel(Var(owner), Var(w)),
                                 or_all([Eq(Var(w), Var(nm)) for nm in names])))
     return _exists_many(names, and_all(related + distinct + [closure]))
@@ -281,20 +281,18 @@ def size_exists(n: int) -> Formula:
     if n == 0:
         return FALSE
     names = [f"x{i}" for i in range(1, n + 1)]
-    head = Var(names[0])
-    related = [_erel(head, Var(nm)) for nm in names]
-    distinct = [neq(Var(names[i]), Var(names[j]))
-                for i in range(n) for j in range(i + 1, n)]
-    closure = ForAll("y", Implies(_erel(head, Var("y")),
-                                  or_all([Eq(Var("y"), Var(nm)) for nm in names])))
-    return _exists_many(names, and_all(related + distinct + [closure]))
+    return _class_is(names[0], names, "y")
 
 
 def size_unique(n: int) -> Formula:
     """At most one equivalence class has exactly n members."""
     if n < 1:
         raise SchemeError("uniqueness applies to positive class sizes")
-    both = And(_class_of_size("x", n, "u"), _class_of_size("y", n, "v"))
+
+    def of_size(owner: str, prefix: str) -> Formula:
+        return _class_is(owner, [f"{prefix}{i}" for i in range(1, n + 1)], f"{prefix}0")
+
+    both = And(of_size("x", "u"), of_size("y", "v"))
     return _forall_many(["x", "y"], Implies(both, _erel(Var("x"), Var("y"))))
 
 
@@ -319,6 +317,12 @@ def set_extent(n: int) -> Formula:
     return Exists("z", _exists_many(names, and_all(distinct + [closure])))
 
 
+_NUMERIC_SCHEMES = {
+    "ax1": ax1, "ax2": ax2, "ax3": ax3, "ax4": ax4, "ax4e": ax4e, "ax5": ax5,
+    "size-exists": size_exists, "size-unique": size_unique,
+    "equivalence": equivalence_axiom, "set-extent": set_extent,
+}
+
 _SCHEME_ALIASES = {
     "ax4'": "ax4e",
     "phi-existence": "size-exists",
@@ -340,14 +344,10 @@ def scheme_instance(scheme: str, params) -> Formula:
     try:
         if key in ("ax1", "ax2", "ax3"):
             m, n = params
-            return {"ax1": ax1, "ax2": ax2, "ax3": ax3}[key](int(m), int(n))
-        if key in ("ax4", "ax4e", "ax5", "size-exists", "size-unique",
-                   "equivalence", "set-extent"):
+            return _NUMERIC_SCHEMES[key](int(m), int(n))
+        if key in _NUMERIC_SCHEMES:
             (n,) = params
-            one_arg = {"ax4": ax4, "ax4e": ax4e, "ax5": ax5,
-                       "size-exists": size_exists, "size-unique": size_unique,
-                       "equivalence": equivalence_axiom, "set-extent": set_extent}
-            return one_arg[key](int(n))
+            return _NUMERIC_SCHEMES[key](int(n))
         if key == "induction":
             phi, var = params
             return induction(phi, str(var))
@@ -527,101 +527,71 @@ def offdiag(j: int) -> tuple[int, int]:
     return (a, b) if b < a else (a, b + 1)
 
 
-def _recognize_ax1(phi: Formula) -> bool:
-    if not (isinstance(phi, Eq) and isinstance(phi.left, App)
-            and phi.left.name == "+" and len(phi.left.args) == 2):
-        return False
-    m = numeral_value(phi.left.args[0])
-    n = numeral_value(phi.left.args[1])
-    k = numeral_value(phi.right)
-    return m is not None and n is not None and k == m + n
+def _numerals(*terms: Term) -> tuple[int, ...] | None:
+    values = tuple(numeral_value(t) for t in terms)
+    return None if None in values else values
 
 
-def _recognize_ax2(phi: Formula) -> bool:
-    if not (isinstance(phi, Eq) and isinstance(phi.left, App)
-            and phi.left.name == "*" and len(phi.left.args) == 2):
-        return False
-    m = numeral_value(phi.left.args[0])
-    n = numeral_value(phi.left.args[1])
-    k = numeral_value(phi.right)
-    return m is not None and n is not None and k == m * n
+def _shown(phi: Formula) -> tuple[Callable | None, tuple[int, ...] | None]:
+    """The scheme a formula's shape shows, with the parameters it shows."""
+    match phi:
+        case Eq(App("+", (a, b)), _):
+            return ax1, _numerals(a, b)
+        case Eq(App("*", (a, b)), c):
+            # no rebuild past the k shown: it would build m*n nodes
+            v = _numerals(a, b, c)
+            return ax2, v[:2] if v is not None and v[0] * v[1] <= v[2] else None
+        case Not(Eq(a, b)):
+            return ax3, _numerals(a, b)
+        case ForAll(_, Implies(Rel(_, (_, n)), _)):
+            return ax4, _numerals(n)
+        case ForAll(_, And(Implies(Rel(_, (_, n)), _), _)):
+            return ax4e, _numerals(n)
+        case ForAll(_, Or(Rel(_, (_, n)), _)):
+            return ax5, _numerals(n)
+        case Exists(_, body):
+            n = 0
+            while type(body) is Exists:
+                n, body = n + 1, body.body
+            return set_extent, (n,)
+    return None, None
 
 
-def _recognize_ax3(phi: Formula) -> bool:
-    if not (isinstance(phi, Not) and isinstance(phi.body, Eq)):
-        return False
-    m = numeral_value(phi.body.left)
-    n = numeral_value(phi.body.right)
-    return m is not None and n is not None and m != n
+def _single(j: int) -> tuple[int]:
+    return (j,)
 
 
-def _bound_of_le_atom(atom: Formula) -> int | None:
-    if isinstance(atom, Rel) and atom.name == LE and len(atom.args) == 2:
-        return numeral_value(atom.args[1])
-    return None
-
-
-def _recognize_ax4(phi: Formula) -> bool:
-    if not (isinstance(phi, ForAll) and isinstance(phi.body, Implies)):
-        return False
-    n = _bound_of_le_atom(phi.body.left)
-    return n is not None and phi == ax4(n)
-
-
-def _recognize_ax4e(phi: Formula) -> bool:
-    if not (isinstance(phi, ForAll) and isinstance(phi.body, And)
-            and isinstance(phi.body.left, Implies)):
-        return False
-    n = _bound_of_le_atom(phi.body.left.left)
-    return n is not None and phi == ax4e(n)
-
-
-def _recognize_ax5(phi: Formula) -> bool:
-    if not (isinstance(phi, ForAll) and isinstance(phi.body, Or)):
-        return False
-    n = _bound_of_le_atom(phi.body.left)
-    return n is not None and phi == ax5(n)
-
-
-_SLOT_AX1 = (lambda j: ax1(*unpair(j)), _recognize_ax1)
-_SLOT_AX2 = (lambda j: ax2(*unpair(j)), _recognize_ax2)
-_SLOT_AX3 = (lambda j: ax3(*offdiag(j)), _recognize_ax3)
-_SLOT_AX4 = (ax4, _recognize_ax4)
-_SLOT_AX4E = (ax4e, _recognize_ax4e)
-_SLOT_AX5 = (ax5, _recognize_ax5)
+# A slot is (scheme builder, its parameters at slot index j).
+_SLOT_AX1 = (ax1, unpair)
+_SLOT_AX2 = (ax2, unpair)
+_SLOT_AX3 = (ax3, offdiag)
+_SLOT_AX4 = (ax4, _single)
+_SLOT_AX4E = (ax4e, _single)
+_SLOT_AX5 = (ax5, _single)
+_SLOT_SET_EXTENT = (set_extent, _single)
 
 
 def _scheme_theory(name: str, language: Language, slots) -> Theory:
-    builders = tuple(b for b, _ in slots)
-    recognizers = tuple(r for _, r in slots)
-    width = len(builders)
+    """Axiom i is slot i mod width at index i div width. A formula is an
+    axiom when rebuilding the scheme its shape shows, from the parameters
+    it shows, gives that very node: `is` checks all the rest."""
+    width = len(slots)
+    builders = {build for build, _ in slots}
 
     def ax_fn(i: int) -> Formula:
-        return builders[i % width](i // width)
+        build, params_at = slots[i % width]
+        return build(*params_at(i // width))
 
     def member(phi: Formula) -> bool:
-        return any(r(phi) for r in recognizers)
+        build, params = _shown(phi)
+        if build not in builders or params is None:
+            return False
+        try:
+            return build(*params) is phi
+        except SchemeError:  # parameters outside the scheme, as m = n for ax3
+            return False
 
     return Theory(name, language, ax_fn, member)
-
-
-def _extent_size(phi: Formula) -> int | None:
-    if not isinstance(phi, Exists):
-        return None
-    count = 0
-    body = phi.body
-    while isinstance(body, Exists):
-        count += 1
-        body = body.body
-    return count
-
-
-def _tset_theory() -> Theory:
-    def member(phi: Formula) -> bool:
-        n = _extent_size(phi)
-        return n is not None and phi is set_extent(n)
-
-    return Theory("T-set", LANG_SET, set_extent, member)
 
 
 # --- oracle-parametric theories ---------------------------------------------
@@ -633,28 +603,37 @@ def _staged_fact(pair_: OraclePair, side: str, j: int) -> int | None:
     """Slot j encodes (stage, position); None when the slot is padding."""
     s, k = unpair(j)
     facts = sorted((pair_.left if side == "left" else pair_.right).at(s))
-    if k >= len(facts):
-        return None
-    return facts[k]
+    return facts[k] if k < len(facts) else None
 
 
-def make_u_theory(pair_: OraclePair, name: str = "U") -> Theory:
-    """Numeral-predicate theory driven by a disjoint staged pair.
+def predicate_atom(n: int) -> Formula:
+    """The sentence asserting the predicate P holds at the n-th numeral."""
+    return Rel("P", (numeral(n),))
 
-    Index layout: i = 3j, 3j+1, 3j+2 cover numeral distinctness, positive
-    facts P(n) for n on the left, and negative facts for the right side.
-    """
+
+def _staged_theory(pair_: OraclePair, name: str, language: Language,
+                   fixed: Callable[[int], Formula],
+                   fact: Callable[[int], Formula]) -> Theory:
+    """Index i = 3j, 3j+1, 3j+2: fixed(j), then fact(n) for the j-th staged
+    left element and its negation for the j-th right one, or PADDING."""
     def ax_fn(i: int) -> Formula:
         kind, j = i % 3, i // 3
         if kind == 0:
-            return ax3(*offdiag(j))
+            return fixed(j)
         n = _staged_fact(pair_, "left" if kind == 1 else "right", j)
         if n is None:
             return PADDING
-        atom = Rel("P", (numeral(n),))
-        return atom if kind == 1 else Not(atom)
+        phi = fact(n)
+        return phi if kind == 1 else Not(phi)
 
-    return Theory(name, LANG_PREDICATE_ARITH, ax_fn, None)
+    return Theory(name, language, ax_fn, None)
+
+
+def make_u_theory(pair_: OraclePair, name: str = "U") -> Theory:
+    """Numeral-predicate theory driven by a disjoint staged pair: numeral
+    distinctness, then P(n) for n on the left and its negation on the right."""
+    return _staged_theory(pair_, name, LANG_PREDICATE_ARITH,
+                          lambda j: ax3(*offdiag(j)), predicate_atom)
 
 
 def make_e_theory(pair_: OraclePair, name: str = "E") -> Theory:
@@ -664,17 +643,9 @@ def make_e_theory(pair_: OraclePair, name: str = "E") -> Theory:
     axiom; class-size existence claims follow the left side of the pair,
     their negations the right side.
     """
-    def ax_fn(i: int) -> Formula:
-        kind, j = i % 3, i // 3
-        if kind == 0:
-            return equivalence_axiom(j) if j < 3 else size_unique(j - 2)
-        n = _staged_fact(pair_, "left" if kind == 1 else "right", j)
-        if n is None:
-            return PADDING
-        phi = size_exists(n)
-        return phi if kind == 1 else Not(phi)
-
-    return Theory(name, LANG_EQREL, ax_fn, None)
+    return _staged_theory(pair_, name, LANG_EQREL,
+                          lambda j: equivalence_axiom(j) if j < 3 else size_unique(j - 2),
+                          size_exists)
 
 
 def make_product(first: Theory, second: Theory) -> Theory:
@@ -725,7 +696,7 @@ def _build_catalog() -> dict[str, Theory]:
         "PA-": _fixed("PA-", LANG_ORDERED_ARITH, _pa_minus_axioms()),
         "TC": _fixed("TC", LANG_CONCAT, _concat_axioms()),
         "AS": _fixed("AS", LANG_SET, _pairset_axioms()),
-        "T-set": _tset_theory(),
+        "T-set": _scheme_theory("T-set", LANG_SET, (_SLOT_SET_EXTENT,)),
     }
 
 

@@ -412,3 +412,32 @@ def test_cli_prints_codes_past_the_int_to_str_limit(tmp_path):
     assert got.returncode == 0, got.stderr
     code = got.stdout.strip()
     assert code.isdigit() and len(code) > 4300
+
+
+def test_each_verb_reads_its_formula_file_once(capsys, tmp_path, monkeypatch):
+    import weakarith.cli as cli
+
+    reads = []
+    real_read = cli._read
+    monkeypatch.setattr(cli, "_read", lambda path: reads.append(path) or real_read(path))
+    formula = tmp_path / "phi.txt"
+    formula.write_text("(forall x (<= x (S 0)))")
+    tr_path = tmp_path / "id.tr"
+    tr_path.write_text(IDENTITY_R)
+    runs = [
+        (["godel", "--encode", str(formula)], 0, [formula]),
+        (["godel", "--encode", str(formula), "--lang", "R"], 0, [formula]),
+        (["parse", "--file", str(formula)], 0, [formula]),
+        (["translate", "--translation", str(tr_path), "--file", str(formula)], 0,
+         [tr_path, formula]),
+        # both forms given: a usage error before the formula file is opened
+        (["translate", "--translation", str(tr_path), "--file", str(formula),
+          "--text", "true"], 2, [tr_path]),
+        (["parse", "--file", str(formula), "--text", "true"], 2, []),
+    ]
+    for argv, code, want in runs:
+        reads.clear()
+        assert main(argv) == code, argv
+        assert reads == [str(p) for p in want], argv
+    err = capsys.readouterr().err
+    assert err.count("error: give exactly one of --file and --text\n") == 2

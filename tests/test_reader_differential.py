@@ -274,16 +274,11 @@ def old_infer_language(texts) -> Language:
 
 # --- inputs ---------------------------------------------------------------------
 
-def _arity_of_r(index):
-    return index if index <= 2 else None   # r#0, r#1, r#2 exist; r#3 and up are unbound
-
-
 LANG = Language(
     [Symbol("E", KIND_RELATION, 2), Symbol("P", KIND_RELATION, 1), Symbol("p", KIND_RELATION, 0),
      Symbol("0", KIND_FUNCTION, 0), Symbol("S", KIND_FUNCTION, 1),
      Symbol("+", KIND_FUNCTION, 2), Symbol("c", KIND_FUNCTION, 0)],
-    [SymbolFamily("k", KIND_FUNCTION, lambda i: 0 if i < 3 else None),
-     SymbolFamily("r", KIND_RELATION, _arity_of_r)])
+    [SymbolFamily("k", KIND_FUNCTION, 0), SymbolFamily("r", KIND_RELATION, 1)])
 
 NAMES = ["x", "y", "0", "7", "c", "S", "+", "E", "P", "p", "k#1", "k#9", "r#2", "r#4",
          "q#0", "x#2", "f"]

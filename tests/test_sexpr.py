@@ -252,3 +252,16 @@ def test_names_with_a_separator_are_not_symbol_names():
     # a form feed is a name character, as the tokenizer has it
     lang = Language([Symbol("a\fb", KIND_RELATION, 0)])
     assert parse_formula("(not a\fb)", lang) == Not(Rel("a\fb"))
+
+
+def test_a_family_index_past_the_int_digit_limit_parses():
+    # a fresh interpreter, where the limit on int digits is still in force
+    from fresh import run_python
+
+    got = run_python("-c", (
+        "from weakarith.sexpr import parse_formula\n"
+        "from weakarith.theories import get_language\n"
+        "phi = parse_formula('(= (f#' + '9' * 5000 + ' x) x)', get_language('prf'))\n"
+        "print(len(phi.left.name), phi.left.args)\n"))
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "5002 (Var(name='x'),)\n"
