@@ -195,12 +195,6 @@ class Membership:
     """Three-valued oracle answer: 'in', 'out', or 'unknown' at a stage."""
 
     status: str
-    stage: int | None = None
-
-    def __str__(self) -> str:
-        if self.status == "unknown":
-            return f"unknown@{self.stage}"
-        return self.status
 
 
 class PairSide:
@@ -279,7 +273,7 @@ class OraclePair:
             return Membership("in")
         if self.finite:
             return Membership("out")
-        return Membership("unknown", stage)
+        return Membership("unknown")
 
 
 def canonical_pair() -> OraclePair:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from itertools import product as iterproduct
 
 from .errors import FormatError, WorkbenchError
+from .sexpr import parse_formula, parse_term, print_formula, print_term
 from .structures import truth
 from .syntax import (
+    And,
     App,
     Eq,
-    Exists,
     Falsum,
     ForAll,
     Formula,
@@ -27,16 +28,20 @@ from .syntax import (
     KIND_FUNCTION,
     KIND_RELATION,
     Not,
+    Or,
     Rel,
     Term,
+    Var,
     Verum,
     all_variable_names,
     formula_size,
     free_variables,
+    is_name_token,
     substitute,
     validate_formula,
     walk,
 )
+from .theories import numeral
 
 
 class InvalidStepError(WorkbenchError):
@@ -141,6 +146,43 @@ _SCHEMAS = {
 _CONG_SCHEMAS = ("eq-cong-fun", "eq-cong-rel")
 
 
+def _read_name(text: str, language) -> str | None:
+    """A variable argument as written; a parenthesized chunk is no name."""
+    return None if text.startswith("(") else text
+
+
+# signature code -> (the type of the argument, the reader of its text, its noun);
+# the readers look parse_formula and parse_term up when called, as other call
+# sites do, so that a wrapper bound in their place (perfbench tracing) sees them
+_ARGUMENTS = {
+    "f": (Formula, lambda text, language: parse_formula(text, language), "a formula"),
+    "t": (Term, lambda text, language: parse_term(text, language), "a term"),
+    "v": (str, _read_name, "a variable name"),
+}
+
+
+def _signature(schema: str, args) -> str:
+    """The signature of a fixed schema, given as many arguments as it takes."""
+    if schema not in _SCHEMAS:
+        raise ValueError(f"unknown schema {schema!r}")
+    sig = _SCHEMAS[schema][0]
+    if len(args) != len(sig):
+        raise ValueError(f"schema {schema} wants {len(sig)} arguments")
+    return sig
+
+
+def _argument(schema: str, code: str, arg):
+    if not isinstance(arg, _ARGUMENTS[code][0]):
+        raise ValueError(f"schema {schema}: expected {_ARGUMENTS[code][2]}")
+    return arg
+
+
+def _bound_variable(name: str, language) -> None:
+    """The reader's rule: a bound variable is a name token the language does not declare."""
+    if not is_name_token(name) or language.lookup(name) is not None:
+        raise ValueError(f"{name!r} cannot be a bound variable")
+
+
 def _build_congruence(schema: str, args: tuple, language) -> Formula:
     if not args or not isinstance(args[0], str):
         raise ValueError("congruence wants a symbol name first")
@@ -170,20 +212,13 @@ def schema_formula(schema: str, args: tuple, language) -> Formula:
     """The axiom a `logic` step denotes; raises ValueError on bad shape."""
     if schema in _CONG_SCHEMAS:
         phi = _build_congruence(schema, args, language)
-    elif schema in _SCHEMAS:
-        sig, build = _SCHEMAS[schema]
-        if len(args) != len(sig):
-            raise ValueError(f"schema {schema} wants {len(sig)} arguments")
-        for code, arg in zip(sig, args):
-            if code == "f" and not isinstance(arg, Formula):
-                raise ValueError(f"schema {schema}: expected a formula")
-            if code == "t" and not isinstance(arg, Term):
-                raise ValueError(f"schema {schema}: expected a term")
-            if code == "v" and not isinstance(arg, str):
-                raise ValueError(f"schema {schema}: expected a variable name")
-        phi = build(*args)
     else:
-        raise ValueError(f"unknown schema {schema!r}")
+        sig = _signature(schema, args)
+        for code, arg in zip(sig, args):
+            _argument(schema, code, arg)
+            if code == "v":
+                _bound_variable(arg, language)
+        phi = _SCHEMAS[schema][1](*args)
     validate_formula(phi, language)
     return phi
 
@@ -197,37 +232,33 @@ def check_proof(proof: Proof, theory) -> Formula:
     """
     derived: list[Formula] = []
     for idx, step in enumerate(proof.steps):
-        if isinstance(step, TheoryAxiom):
-            if step.theory != theory.name:
-                raise InvalidStepError(
-                    idx, f"cites theory {step.theory!r}, checking {theory.name!r}")
-            try:
+        try:
+            if isinstance(step, TheoryAxiom):
+                if step.theory != theory.name:
+                    raise ValueError(
+                        f"cites theory {step.theory!r}, checking {theory.name!r}")
                 phi = theory.axiom_of(step.index)
-            except WorkbenchError as exc:
-                raise InvalidStepError(idx, str(exc)) from exc
-        elif isinstance(step, LogicalAxiom):
-            try:
+            elif isinstance(step, LogicalAxiom):
                 phi = schema_formula(step.schema, step.args, theory.language)
-            except (ValueError, WorkbenchError) as exc:
-                raise InvalidStepError(idx, str(exc)) from exc
-        elif isinstance(step, ModusPonens):
-            for ref in (step.premise, step.implication):
-                if not 0 <= ref < idx:
-                    raise InvalidStepError(idx, f"reference {ref} is not earlier")
-            imp = derived[step.implication]
-            if not isinstance(imp, Implies):
-                raise InvalidStepError(
-                    idx, f"step {step.implication} is not an implication")
-            if derived[step.premise] != imp.left:
-                raise InvalidStepError(
-                    idx, f"step {step.premise} does not match the antecedent")
-            phi = imp.right
-        elif isinstance(step, Generalize):
-            if not 0 <= step.premise < idx:
-                raise InvalidStepError(idx, f"reference {step.premise} is not earlier")
-            phi = ForAll(step.var, derived[step.premise])
-        else:
-            raise InvalidStepError(idx, f"unknown step kind {type(step).__name__}")
+            elif isinstance(step, ModusPonens):
+                for ref in (step.premise, step.implication):
+                    if not 0 <= ref < idx:
+                        raise ValueError(f"reference {ref} is not earlier")
+                imp = derived[step.implication]
+                if type(imp) is not Implies:
+                    raise ValueError(f"step {step.implication} is not an implication")
+                if derived[step.premise] != imp.left:
+                    raise ValueError(f"step {step.premise} does not match the antecedent")
+                phi = imp.right
+            elif isinstance(step, Generalize):
+                if not 0 <= step.premise < idx:
+                    raise ValueError(f"reference {step.premise} is not earlier")
+                _bound_variable(step.var, theory.language)
+                phi = ForAll(step.var, derived[step.premise])
+            else:
+                raise ValueError(f"unknown step kind {type(step).__name__}")
+        except (ValueError, WorkbenchError) as exc:
+            raise InvalidStepError(idx, str(exc)) from exc
         derived.append(phi)
     if not derived:
         raise InvalidStepError(0, "empty proof")
@@ -236,37 +267,49 @@ def check_proof(proof: Proof, theory) -> Formula:
 
 # --- bounded search -----------------------------------------------------------
 
-def _shift(steps: tuple[Step, ...], offset: int) -> list[Step]:
-    out: list[Step] = []
-    for step in steps:
-        if isinstance(step, ModusPonens):
-            out.append(ModusPonens(step.premise + offset, step.implication + offset))
-        elif isinstance(step, Generalize):
-            out.append(Generalize(step.premise + offset, step.var))
-        else:
-            out.append(step)
-    return out
-
-
 def _instantiation_terms(goal: Formula, numeral_bound: int, language) -> list[Term]:
-    from .sexpr import print_term
-    from .theories import numeral
-
-    pool = [node for node, _ in walk(goal) if isinstance(node, Term)]
+    pool = [node for node, _ in walk(goal) if type(node) is Var or type(node) is App]
     pool.extend(numeral(n) for n in range(numeral_bound + 1))
-    seen = []
-    have = set()
-    for t in pool:
-        if t in have:
-            continue
-        have.add(t)
+    terms = []
+    for t in dict.fromkeys(pool):
         try:
             validate_formula(Eq(t, t), language)
         except WorkbenchError:
             continue
-        seen.append(t)
-    seen.sort(key=lambda t: (formula_size(Eq(t, t)), print_term(t)))
-    return seen
+        terms.append(t)
+    terms.sort(key=lambda t: (formula_size(Eq(t, t)), print_term(t)))
+    return terms
+
+
+def _write_out(derived: dict, goal: Formula, theory_name: str) -> Proof:
+    """The proof of goal read off the queue entries that first derived each
+    formula: every cited formula's subproof in full, in citation order,
+    before the step that cites it."""
+    steps: list[Step] = []
+    ends: list[int] = []  # the last step of each subproof written and not yet cited
+    stack = [(goal, False)]
+    while stack:
+        phi, cited_written = stack.pop()
+        kind, *payload = derived[phi]
+        cites = () if kind == "ax" else payload if kind == "mp" else payload[:1]
+        if not cited_written:
+            stack.append((phi, True))
+            stack.extend((c, False) for c in reversed(cites))
+            continue
+        at = ends[len(ends) - len(cites):]
+        del ends[len(ends) - len(cites):]
+        if kind == "ax":
+            steps.append(TheoryAxiom(theory_name, payload[0]))
+        elif kind == "inst":
+            univ, t = payload
+            steps.append(LogicalAxiom("inst", (univ.var, univ.body, t)))
+            steps.append(ModusPonens(at[0], len(steps) - 1))
+        elif kind == "mp":
+            steps.append(ModusPonens(*at))
+        else:
+            steps.append(Generalize(at[0], payload[1]))
+        ends.append(len(steps) - 1)
+    return Proof(tuple(steps))
 
 
 def search_proof(theory, goal: Formula, budget: int, *,
@@ -285,70 +328,52 @@ def search_proof(theory, goal: Formula, budget: int, *,
     inst_terms = _instantiation_terms(goal, numeral_bound, theory.language)
     gen_vars = sorted(all_variable_names(goal))
 
-    derived: dict[Formula, tuple[Step, ...]] = {}
-    implications: list[Formula] = []
+    derived: dict[Formula, tuple] = {}  # formula -> the queue entry that first derived it
+    implications: dict[Formula, list[Formula]] = {}  # antecedent -> implications, in order
     queue: list[tuple] = [("ax", 0)]
     spent = 0
     head = 0
 
-    def finish(steps: tuple[Step, ...]) -> Proof:
-        proof = Proof(steps)
-        if check_proof(proof, theory) != goal:
-            raise WorkbenchError("search produced a proof of the wrong formula")
-        return proof
-
     while head < len(queue) and spent < budget:
-        kind, *payload = queue[head]
+        entry = queue[head]
+        kind = entry[0]
         head += 1
         spent += 1
 
         if kind == "ax":
-            (i,) = payload
+            i = entry[1]
             queue.append(("ax", i + 1))
             try:
                 phi = theory.axiom_of(i)
             except WorkbenchError:
                 continue
-            steps: tuple[Step, ...] = (TheoryAxiom(theory.name, i),)
         elif kind == "inst":
-            univ, t = payload
-            body_inst = substitute(univ.body, univ.var, t)
-            base = derived[univ]
-            n = len(base)
-            steps = tuple(base) + (
-                LogicalAxiom("inst", (univ.var, univ.body, t)),
-                ModusPonens(n - 1, n),
-            )
-            phi = body_inst
+            _, univ, t = entry
+            phi = substitute(univ.body, univ.var, t)
         elif kind == "mp":
-            premise, imp = payload
-            base = derived[premise]
-            other = _shift(derived[imp], len(base))
-            steps = tuple(base) + tuple(other) + (
-                ModusPonens(len(base) - 1, len(base) + len(other) - 1),)
-            phi = imp.right
+            phi = entry[2].right
         else:  # gen
-            body, var = payload
-            base = derived[body]
-            steps = tuple(base) + (Generalize(len(base) - 1, var),)
+            _, body, var = entry
             phi = ForAll(var, body)
 
         if phi in derived:
             continue
-        derived[phi] = steps
+        derived[phi] = entry
         if phi == goal:
-            return finish(steps)
+            proof = _write_out(derived, goal, theory.name)
+            if check_proof(proof, theory) != goal:
+                raise WorkbenchError("search produced a proof of the wrong formula")
+            return proof
 
-        if isinstance(phi, ForAll):
+        if type(phi) is ForAll:
             for t in inst_terms:
                 queue.append(("inst", phi, t))
-        if isinstance(phi, Implies):
-            implications.append(phi)
+        if type(phi) is Implies:
+            implications.setdefault(phi.left, []).append(phi)
             if phi.left in derived:
                 queue.append(("mp", phi.left, phi))
-        for imp in implications:
-            if imp.left == phi:
-                queue.append(("mp", phi, imp))
+        for imp in implications.get(phi, ()):
+            queue.append(("mp", phi, imp))
         for var in gen_vars:
             queue.append(("gen", phi, var))
     return None
@@ -363,35 +388,36 @@ def is_tautology(phi: Formula) -> bool:
     """Truth-table check treating quantified subformulas as opaque atoms."""
     atoms: list[Formula] = []
     index: dict[Formula, int] = {}
-
-    def scan(f: Formula) -> None:
-        if isinstance(f, (Rel, Eq, ForAll, Exists)):
-            if f not in index:
-                index[f] = len(atoms)
-                atoms.append(f)
-            return
-        if isinstance(f, (Verum, Falsum)):
-            return
-        if isinstance(f, Not):
-            scan(f.body)
-            return
-        scan(f.left)
-        scan(f.right)
-
-    scan(phi)
+    stack = [phi]
+    while stack:  # pre-order, left to right: atoms in order of first occurrence
+        f = stack.pop()
+        kind = type(f)
+        if kind is Not:
+            stack.append(f.body)
+        elif kind is And or kind is Or or kind is Implies:
+            stack.append(f.right)
+            stack.append(f.left)
+        elif kind is not Verum and kind is not Falsum and f not in index:
+            index[f] = len(atoms)
+            atoms.append(f)
     if len(atoms) > ATOM_LIMIT:
         raise TooManyAtoms(f"{len(atoms)} distinct atoms, limit {ATOM_LIMIT}")
-
-    def atom(f: Formula, row) -> bool:
-        return row[index[f]]
-
-    for row in iterproduct((False, True), repeat=len(atoms)):
-        if not truth(phi, atom, row):
-            return False
-    return True
+    rows = iterproduct((False, True), repeat=len(atoms))
+    return all(truth(phi, lambda f, row: row[index[f]], row) for row in rows)
 
 
 # --- proof files ---------------------------------------------------------
+
+# step kind -> (keyword, its fields in order, what a line of the kind wants)
+_STEPS = {
+    TheoryAxiom: ("ax", ("theory", "index"), "a theory id and an index"),
+    LogicalAxiom: ("logic", ("schema", "args"), "a schema id"),
+    ModusPonens: ("mp", ("premise", "implication"), "two step indices"),
+    Generalize: ("gen", ("premise", "var"), "a step index and a variable"),
+}
+_KINDS = {keyword: kind for kind, (keyword, _, _) in _STEPS.items()}
+_INDEX_FIELDS = ("index", "premise", "implication")
+
 
 def _split_chunks(text: str) -> list[str]:
     chunks = []
@@ -419,29 +445,15 @@ def _split_chunks(text: str) -> list[str]:
 
 def parse_proof(text: str, language) -> Proof:
     """Read one step per line: ax / logic / mp / gen."""
-    from .sexpr import parse_formula, parse_term
 
     def logic_args(schema: str, chunks: list[str]) -> tuple:
         if schema in _CONG_SCHEMAS:
             if not chunks:
                 raise FormatError(f"{schema}: missing symbol name")
             return (chunks[0],) + tuple(parse_term(c, language) for c in chunks[1:])
-        if schema not in _SCHEMAS:
-            raise FormatError(f"unknown schema {schema!r}")
-        sig = _SCHEMAS[schema][0]
-        if len(chunks) != len(sig):
-            raise FormatError(f"schema {schema} wants {len(sig)} arguments")
-        out = []
-        for code, chunk in zip(sig, chunks):
-            if code == "f":
-                out.append(parse_formula(chunk, language))
-            elif code == "t":
-                out.append(parse_term(chunk, language))
-            else:
-                if chunk.startswith("("):
-                    raise FormatError(f"schema {schema}: expected a variable name")
-                out.append(chunk)
-        return tuple(out)
+        sig = _signature(schema, chunks)
+        return tuple(_argument(schema, code, _ARGUMENTS[code][1](chunk, language))
+                     for code, chunk in zip(sig, chunks))
 
     steps: list[Step] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -450,52 +462,35 @@ def parse_proof(text: str, language) -> Proof:
         if not line or line.startswith("#"):
             continue
         try:
-            chunks = _split_chunks(line)
-            head = chunks[0]
-            if head == "ax":
-                if len(chunks) != 3:
-                    raise FormatError("ax wants a theory id and an index")
-                steps.append(TheoryAxiom(chunks[1], int(chunks[2])))
-            elif head == "logic":
-                if len(chunks) < 2:
-                    raise FormatError("logic wants a schema id")
-                steps.append(LogicalAxiom(chunks[1], logic_args(chunks[1], chunks[2:])))
-            elif head == "mp":
-                if len(chunks) != 3:
-                    raise FormatError("mp wants two step indices")
-                steps.append(ModusPonens(int(chunks[1]), int(chunks[2])))
-            elif head == "gen":
-                if len(chunks) != 3:
-                    raise FormatError("gen wants a step index and a variable")
-                steps.append(Generalize(int(chunks[1]), chunks[2]))
-            else:
+            head, *words = _split_chunks(line)
+            kind = _KINDS.get(head)
+            if kind is None:
                 raise FormatError(f"unknown step kind {head!r}")
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        except FormatError as exc:
+            keyword, fields, wants = _STEPS[kind]
+            if kind is TheoryAxiom and len(words) > 2:
+                # the index is the last chunk; the theory id is the text before it, as written
+                words = [line[len(head):].rsplit(None, 1)[0].strip(), words[-1]]
+            elif kind is LogicalAxiom and words:
+                words = [words[0], logic_args(words[0], words[1:])]
+            if len(words) != len(fields):
+                raise FormatError(f"{keyword} wants {wants}")
+            steps.append(kind(*(int(word) if field in _INDEX_FIELDS else word
+                                for field, word in zip(fields, words))))
+        except (ValueError, FormatError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     return Proof(tuple(steps))
 
 
 def format_proof(proof: Proof) -> str:
-    from .sexpr import print_formula, print_term
-
-    def chunk(arg) -> str:
-        if isinstance(arg, Formula):
-            return print_formula(arg)
-        if isinstance(arg, Term):
-            return print_term(arg)
-        return str(arg)
+    def chunk(value) -> str:  # the one printer writes terms as well as formulas
+        return print_formula(value) if isinstance(value, (Formula, Term)) else str(value)
 
     lines = []
     for step in proof.steps:
-        if isinstance(step, TheoryAxiom):
-            lines.append(f"ax {step.theory} {step.index}")
-        elif isinstance(step, LogicalAxiom):
-            parts = " ".join(chunk(a) for a in step.args)
-            lines.append(f"logic {step.schema} {parts}".rstrip())
-        elif isinstance(step, ModusPonens):
-            lines.append(f"mp {step.premise} {step.implication}")
-        else:
-            lines.append(f"gen {step.premise} {step.var}")
+        keyword, fields, _ = _STEPS[type(step)]
+        parts = [keyword]
+        for field in fields:
+            value = getattr(step, field)
+            parts += value if field == "args" else (value,)
+        lines.append(" ".join(map(chunk, parts)))
     return "\n".join(lines) + "\n"

@@ -213,6 +213,31 @@ def test_search_proof_budget_edge(tmp_path, capsys):
     assert capsys.readouterr().out == "no proof within budget 13\n"
 
 
+def test_search_proof_output_checks_for_theory_ids_with_spaces(tmp_path, capsys):
+    theory = "U:finite B={1} C={2}"
+    goal = tmp_path / "goal.sexp"
+    goal.write_text("(P (S 0))\n")
+    assert main(["search-proof", "--theory", theory, "--goal", str(goal),
+                 "--budget", "100"]) == 0
+    proof = tmp_path / "u.prf"
+    proof.write_text(capsys.readouterr().out)
+    assert proof.read_text() == f"ax {theory} 1\n"
+    assert main(["check-proof", "--proof", str(proof), "--theory", theory]) == 0
+    assert capsys.readouterr().out == "(P (S 0))\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("logic eq-refl x\ngen 0 forall\n", "step 1: 'forall' cannot be a bound variable"),
+    ("logic eq-refl x\ngen 0 0\n", "step 1: '0' cannot be a bound variable"),
+    ("logic inst a(b) (= x x) 0\n", "step 0: 'a(b)' cannot be a bound variable"),
+])
+def test_check_proof_refuses_bound_variables_the_reader_refuses(tmp_path, capsys, text, error):
+    proof = tmp_path / "bad.prf"
+    proof.write_text(text)
+    assert main(["check-proof", "--proof", str(proof), "--theory", "R"]) == 1
+    assert capsys.readouterr().err == f"invalid: {error}\n"
+
+
 def test_godel_encode_decode(tmp_path, capsys):
     src = tmp_path / "eq00.sexp"
     src.write_text("(= 0 0)\n")

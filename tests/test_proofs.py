@@ -128,6 +128,20 @@ def test_generalization():
     assert check_proof(proof, R) == ForAll("x", Eq(Var("x"), Var("x")))
 
 
+def test_bound_variables_follow_the_reader():
+    # a name token the language does not declare, for every v argument and gen
+    phi = Eq(Var("x"), Var("x"))
+    for name in ("forall", "0", "S", "<=", "a(b)", "a b", ""):
+        with pytest.raises(ValueError, match="cannot be a bound variable"):
+            schema_formula("inst", (name, phi, numeral(1)), R.language)
+        with pytest.raises(InvalidStepError) as exc:
+            check_proof(Proof((LogicalAxiom("eq-refl", (Var("x"),)),
+                               Generalize(0, name))), R)
+        assert exc.value.index == 1
+        assert exc.value.reason == f"{name!r} cannot be a bound variable"
+    assert schema_formula("vac", ("y1", phi), R.language) == Implies(phi, ForAll("y1", phi))
+
+
 def test_search_finds_axiom_goal_at_golden_budget():
     goal = R.axiom_of(7)
     assert search_proof(R, goal, 13) is None
