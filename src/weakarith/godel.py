@@ -25,13 +25,22 @@ code cannot ask for a gigabyte.  Encoding refuses the names that would give
 such a code with LanguageError; they are the names of n >= 6 bytes whose
 big-endian value is below about 2^(n/2), NUL but for at most their last
 n/16 bytes (six NULs are refused, "\x00x" is not).
+
+Encoded size is capped too.  Every pairing about squares the code, so a
+formula a few dozen levels deep, or an equation on the numeral 8 (each S
+costs three pairings), has a code of billions of bits.  Encoding checks each
+pairing's result before it enters the next multiplication, and raises
+CodeTooLarge once a code has more than MAX_CODE_BITS = 2^21 bits (256 KiB).
+The largest code the test suite encodes has 1,214,182 bits; the equation
+(= numeral(4) x) has 606,964.  So encoding multiplies numbers of at most
+2^21 bits, and refuses a formula at most about 21 pairings above its leaves.
 Encoding is injective by construction; decode is total on the range and
 raises NotACode elsewhere.
 
-Both directions recurse once per level, and no recursion limit ever binds:
-a code at least doubles its bits per level, so decoding goes at most log2
-of the code's bit length deep, and encoding a formula nested a few dozen
-levels deep would already give a code too large to compute.
+Both directions recurse once per level. Decoding goes at most log2 of the
+code's bit length deep, since a code at least doubles its bits per level.
+Encoding reaches the leaves before its first pairing, so a formula nested
+deeper than the recursion limit ends in RecursionError, not CodeTooLarge.
 """
 
 from __future__ import annotations
@@ -43,8 +52,21 @@ from .syntax import (And, App, Eq, Exists, ForAll, Formula, Implies, LanguageErr
                      Not, Or, Rel, Var, Verum, Falsum, is_name_token)
 
 
+MAX_CODE_BITS = 1 << 21
+
+
 class NotACode(WorkbenchError):
     pass
+
+
+class CodeTooLarge(WorkbenchError):
+    """The formula's code would have more than MAX_CODE_BITS bits."""
+
+
+def _bounded(code: int) -> int:
+    if code.bit_length() > MAX_CODE_BITS:
+        raise CodeTooLarge(f"the formula's code would exceed {MAX_CODE_BITS} bits")
+    return code
 
 
 def pair(a: int, b: int) -> int:
@@ -64,7 +86,7 @@ def _encode_str(s: str) -> int:
     if not is_name_token(s):
         raise LanguageError(f"name {s!r} is not one token of the grammar")
     data = s.encode("utf-8")
-    code = pair(len(data), int.from_bytes(data, "big"))
+    code = _bounded(pair(len(data), int.from_bytes(data, "big")))
     if len(data) > code.bit_length():
         raise LanguageError(f"name {s!r} has more bytes than its code has bits")
     return code
@@ -125,10 +147,19 @@ def _encode(node, kind: str) -> int:
         raise TypeError(f"not a {kind}: {node!r}")
     tag, _, fields = row
     codes = [_encode_str(getattr(node, name)) if field == NAME
-             else encode_list([_encode(a, TERM) for a in getattr(node, name)]) if field == ARGS
+             else _encode_args(getattr(node, name)) if field == ARGS
              else _encode(getattr(node, name), field)
              for field, name in fields]
-    return pair(tag, pair(*codes) if len(codes) == 2 else codes[0] if codes else 0)
+    payload = _bounded(pair(*codes)) if len(codes) == 2 else codes[0] if codes else 0
+    return _bounded(pair(tag, payload))
+
+
+def _encode_args(args) -> int:
+    """encode_list of the argument codes, checking each pairing."""
+    acc = 0
+    for code in reversed([_encode(a, TERM) for a in args]):
+        acc = _bounded(pair(code, acc) + 1)
+    return acc
 
 
 def _decode(code: int, kind: str):

@@ -16,12 +16,15 @@ does nodes, so only memory limits the depth. A form's head selects its entry
 in one table of connectives or opens an application; a symbol policy gives
 names their meaning. Errors come in reading order: an application's head is
 checked when read (for a fixed Language, its kind too), its arity at ')'.
+A run (h (h ... (h base))) of one unary function symbol over a bare base,
+closed right after the base, is read in one step from a per-call table of
+chains, so a numeral costs no stack entry per S.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import attrgetter, sub
 
 from .errors import FormatError
@@ -160,11 +163,17 @@ _FUNCTION = (App, KIND_FUNCTION, "expected a function symbol")
 def _read(text: str, want: str, policy):
     """The one node of kind want that text holds, read under policy."""
     tokens, starts = _tokenize(text)
+    end = len(tokens)
     starts.append(starts[-1] + len(tokens[-1]) if tokens else 0)  # just past the last token
 
     def fail(message: str, at: int) -> ParseError:
         return ParseError(message, *_position(text, starts[at]))
 
+    # the policy's answer for each head, per symbol kind
+    answers: dict[str, dict] = {KIND_RELATION: {}, KIND_FUNCTION: {}}
+    # (head, base) -> [base, (head base), (head (head base)), ...]
+    chains: dict[tuple, list] = {}
+    plain_until = 0  # a head before this index lies in a run that did not read as a chain
     # an open form: [constructor, child kinds, children, index of its head],
     # an application: [constructor, None, children, index, kind, head, answer]
     stack: list[list] = []
@@ -181,7 +190,8 @@ def _read(text: str, want: str, policy):
                 ctor, kinds, children = form[0], form[1], form[2]
                 if kinds is None:
                     at = form[3]
-                    policy.close(form[4], form[5], form[6], len(children))
+                    if len(children) != form[6]:
+                        policy.close(form[4], form[5], form[6], len(children))
                     node = ctor(form[5], tuple(children))
                 else:
                     node = ctor(*children)
@@ -197,7 +207,34 @@ def _read(text: str, want: str, policy):
                     ctor, symbol_kind, paren = _RELATION if kind is _FORMULA else _FUNCTION
                     if head == "(" or head == ")":
                         raise fail(paren, at)
-                    push([ctor, None, [], at, symbol_kind, head, policy.head(symbol_kind, head)])
+                    known = answers[symbol_kind]
+                    answer = known.get(head, known)  # the table itself marks "not yet asked"
+                    if answer is known:
+                        answer = known[head] = policy.head(symbol_kind, head)
+                    if answer == 1 and ctor is App and at >= plain_until:
+                        # a run (head (head ... base)) of depth levels, each closed
+                        # by the ')' right after the bare base, reads in one step
+                        j = at + 1
+                        while j + 1 < end and tokens[j] == "(" and tokens[j + 1] == head:
+                            j += 2
+                        depth = (j - at + 1) // 2
+                        if (j < end and tokens[j] != "(" and tokens[j] != ")"
+                                and tokens[j + 1:j + 1 + depth].count(")") == depth):
+                            skip, at, base = j + depth - at, j, tokens[j]
+                            if base in RESERVED:
+                                raise fail(f"reserved word {base!r} in term position", at)
+                            base = policy.term(base)
+                            chain = chains.get((head, base))
+                            if chain is None:
+                                chain = chains[head, base] = [base]
+                            while len(chain) <= depth:
+                                chain.append(App(head, (chain[-1],)))
+                            node = chain[depth]
+                            next(islice(indexed, skip - 1, None))  # past the last ')'
+                        else:
+                            plain_until = j
+                    if node is None:
+                        push([ctor, None, [], at, symbol_kind, head, answer])
             elif tok == ")":
                 raise fail("unexpected ')'", at)
             elif kind is not _FORMULA:
@@ -257,15 +294,41 @@ _CONSTANTS = {type(node): word for word, node in _TRUTH.items()}
 
 
 def _print(node) -> str:
-    """The canonical text of a node, built over an explicit stack of nodes and text."""
+    """The canonical text of a node, built over an explicit stack of nodes and text.
+
+    A ground chain of unary applications (h (h ... base)) is written in one
+    loop, and its text, when the base is nullary, is kept for the rest of
+    the call; a longer chain stops at a kept one, so numerals 0 to n,
+    printed in that order, cost O(n) steps. Chains over a variable take the
+    general path, which is cheaper for the short ones formulas are full of.
+    """
     out: list[str] = []
     stack: list = [node]
     pop, push, emit = stack.pop, stack.append, out.append
+    chains: dict = {}  # ground unary chain -> its text
     while stack:
         item = pop()
         kind = type(item)
         if kind is str:
             emit(item)
+            continue
+        if kind is App and item.ground and len(item.args) == 1:
+            text = chains.get(item)
+            if text is None:
+                heads = []
+                base = item
+                while type(base) is App and len(base.args) == 1 and base not in chains:
+                    heads.append(base.name)
+                    base = base.args[0]
+                prefix, closing = "(" + " (".join(heads) + " ", ")" * len(heads)
+                inner = base.name if type(base) is App and not base.args else chains.get(base)
+                if inner is None:  # over a compound base
+                    emit(prefix)
+                    push(closing)
+                    push(base)
+                    continue
+                text = chains[item] = prefix + inner + closing
+            emit(text)
             continue
         if kind is App or kind is Rel:
             head, children = item.name, item.args

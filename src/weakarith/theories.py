@@ -89,14 +89,19 @@ def _lt(a: Term, b: Term) -> Formula:
     return And(_le(a, b), Not(Eq(a, b)))
 
 
+# numeral(k) for every k built so far: the one interned chain, extended on
+# demand, so each successor is built once per process
+_NUMERALS: list[Term] = [ZERO]
+
+
 def numeral(n: int) -> Term:
     """n-fold successor of zero."""
     if n < 0:
         raise SchemeError("numerals index naturals")
-    t: Term = ZERO
-    for _ in range(n):
-        t = _succ(t)
-    return t
+    chain = _NUMERALS
+    while len(chain) <= n:
+        chain.append(_succ(chain[-1]))
+    return chain[n]
 
 
 def numeral_value(t: Term) -> int | None:

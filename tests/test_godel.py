@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from weakarith.godel import NotACode, godel_decode, godel_encode, pair, unpair
 from weakarith.godel import _encode_str
 from weakarith.sexpr import parse_formula
-from weakarith.syntax import App, Eq, Rel, Var
+from weakarith.syntax import App, Eq, Not, Rel, Var
 from weakarith.theories import get_language
 
 
@@ -128,3 +128,38 @@ def test_names_under_the_cap_still_round_trip():
     for name in ("\x00" * 5, "\x00" * 6 + "x", "\x00" * 15 + "\xff"):
         phi = Eq(Var(name), Var("y"))
         assert godel_decode(godel_encode(phi)) is phi
+
+
+def test_encode_refuses_a_code_past_the_cap(tmp_path):
+    # each S costs three pairings, so the code of this 40-byte equation on the
+    # numeral 8 would have about 2.5G bits; the child is killed after 20 s
+    from fresh import run_cli
+
+    path = tmp_path / "eq8.txt"
+    path.write_text("(= (S (S (S (S (S (S (S (S 0)))))))) x)\n")
+    assert len(path.read_bytes()) == 40
+    got = run_cli("godel", "--encode", str(path), "--lang", "R", timeout=20)
+    assert got.returncode == 1
+    assert got.stdout == ""
+    assert got.stderr == "error: the formula's code would exceed 2097152 bits\n"
+
+
+def test_the_cap_refuses_within_two_seconds_and_admits_the_numeral_4():
+    from time import perf_counter
+
+    from weakarith.errors import WorkbenchError
+    from weakarith.godel import MAX_CODE_BITS, CodeTooLarge
+    from weakarith.theories import numeral
+
+    assert MAX_CODE_BITS == 2 ** 21 and issubclass(CodeTooLarge, WorkbenchError)
+    phi = Eq(numeral(4), Var("x"))
+    code = godel_encode(phi)
+    assert code.bit_length() == 606964 and godel_decode(code) is phi
+    assert godel_encode(Not(phi)).bit_length() == 1213926
+    for deep in (Eq(numeral(5), Var("x")), Eq(numeral(8), Var("x")),
+                 Not(Not(phi)),                 # the last pairing passes the cap
+                 Rel("P", (numeral(4),) * 6)):  # the argument list passes the cap
+        start = perf_counter()
+        with pytest.raises(CodeTooLarge):
+            godel_encode(deep)
+        assert perf_counter() - start < 2

@@ -363,3 +363,85 @@ def test_reader_matches_the_recursive_readers(text, other):
     for texts in ([text], [text, other]):
         new, old = _outcome(infer_language, texts), _outcome(old_infer_language, texts)
         assert _same(new, old), (texts, new, old)
+
+
+# --- unary chains -----------------------------------------------------------------
+
+# LANG with two more unary heads: g, and the family f#i
+CHAIN_LANG = Language(
+    [*LANG.symbols(), Symbol("g", KIND_FUNCTION, 1)],
+    [*LANG.families(), SymbolFamily("f", KIND_FUNCTION, 1)])
+CHAIN_HEADS = ["S", "g", "f#1", "f#2"]
+CHAIN_BASES = [["x"], ["y#3"], ["0"], ["c"], ["k#2"], ["(", "+", "x", "0", ")"],
+               ["(", "S", "c", ")"], ["not"], ["forall"], ["="], ["E"], ["r#1"],
+               ["S"], ["g"], ["f#3"], ["q#1"], ["("], [")"], []]
+# separators, odd ones included; "" only where a parenthesis ends the gap
+CHAIN_SEPARATORS = ["", " ", "\t", "\r\n", "  \n ", "\n\n", "\t \r\n  "]
+
+
+@st.composite
+def _chain_tokens(draw):
+    """(h (h ... base)) with up to 60 heads, one head or mixed, and maybe
+    a ')' missing or extra, on its own or inside a formula or a term."""
+    depth = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        heads = [draw(st.sampled_from(CHAIN_HEADS))] * depth
+    else:
+        heads = draw(st.lists(st.sampled_from(CHAIN_HEADS + ["+"]),
+                              min_size=depth, max_size=depth))
+    closing = depth + draw(st.sampled_from([0, 0, 0, -1, 1, -2, 2]))
+    tokens = [tok for head in heads for tok in ("(", head)]
+    tokens += draw(st.sampled_from(CHAIN_BASES)) + [")"] * max(closing, 0)
+    context = draw(st.sampled_from(["term", "eq", "rel", "binary", "twice"]))
+    if context == "eq":
+        tokens = ["(", "=", *tokens, "x", ")"]
+    elif context == "rel":
+        tokens = ["(", "P", *tokens, ")"]
+    elif context == "binary":
+        tokens = ["(", "+", *tokens, "0", ")"]
+    elif context == "twice":
+        tokens = ["(", "E", *tokens, *tokens, ")"]
+    return tokens
+
+
+@st.composite
+def _chain_text(draw):
+    tokens = draw(_chain_tokens())
+    out = [draw(st.sampled_from(CHAIN_SEPARATORS))]
+    for before, after in zip(tokens, tokens[1:] + [""]):
+        sep = draw(st.sampled_from(CHAIN_SEPARATORS))
+        if not sep and before not in ("(", ")") and after not in ("(", ")", ""):
+            sep = " "  # two names must stay two tokens
+        out += [before, sep]
+    return "".join(out)
+
+
+@settings(max_examples=400)
+@given(_chain_text())
+@example("(S (S (S 0)))")
+@example("(S (S (S 0))")                   # a ')' missing
+@example("(S (S (S 0))))")                 # one extra
+@example("(S (g (S 0)))")                  # mixed heads
+@example("(S (S (S (S 0)) x))")            # the run closes early
+@example("(= (S (S x)) (S (S x)))")        # the same chain twice in one text
+@example("(+ (S (S 0)) (S (S (S 0))))")    # a longer chain after a shorter one
+@example("(S\n(S\t( S\r\n0 ) )\n)")
+def test_reader_matches_the_recursive_readers_on_unary_chains(text):
+    for read, old_read in ((parse_formula, old_parse_formula), (parse_term, old_parse_term)):
+        new, old = _outcome(read, text, CHAIN_LANG), _outcome(old_read, text, CHAIN_LANG)
+        assert _same(new, old), (read.__name__, text, new, old)
+    new, old = _outcome(infer_language, [text]), _outcome(old_infer_language, [text])
+    assert _same(new, old), (text, new, old)
+
+
+def test_a_chain_over_a_unary_symbol_fails_at_the_base():
+    # the base S is itself unary, so it is read, and refused, as a term
+    for text, message in (("( S S )", "1:5: function 'S' expects 1 arguments, got 0"),
+                          ("( S  S )", "1:6: function 'S' expects 1 arguments, got 0")):
+        for read in (parse_term, old_parse_term):
+            try:
+                read(text, LANG)
+            except ParseError as exc:
+                assert str(exc) == message
+            else:
+                raise AssertionError(f"{text!r} read")

@@ -211,3 +211,51 @@ def test_t_set_axioms_are_the_cached_extents():
     assert tset.axiom_of(7) is set_extent(7)
     assert tset.is_axiom(parse_formula(print_formula(set_extent(4)), tset.language))
     assert not tset.is_axiom(set_extent(3).body)
+
+
+def _hand_built(n):
+    t = App("0")
+    for _ in range(n):
+        t = App("S", (t,))
+    return t
+
+
+@pytest.mark.parametrize("order", [[0, 300, 7, 299, 301, 50], [300, 0, 7, 299, 301, 50]])
+def test_numeral_is_the_one_chain_whatever_the_call_order(order):
+    # in a fresh interpreter, so no earlier test has built the chain
+    from fresh import run_python
+
+    got = run_python("-c", (
+        "from weakarith.syntax import App\n"
+        "from weakarith.theories import numeral\n"
+        f"for n in {order}:\n"
+        "    t = App('0')\n"
+        "    for _ in range(n):\n"
+        "        t = App('S', (t,))\n"
+        "    assert numeral(n) is t, n\n"))
+    assert got.returncode == 0, got.stderr
+    for n in order:
+        assert numeral(n) is _hand_built(n)
+
+
+def test_numerals_up_to_n_build_n_successors():
+    from fresh import run_python
+
+    got = run_python("-c", (
+        "import weakarith.theories as th\n"
+        "calls = []\n"
+        "succ = th._succ\n"
+        "th._succ = lambda t: calls.append(t) or succ(t)\n"
+        "for n in range(1001):\n"
+        "    th.numeral(n)\n"
+        "th.ax4(1000)\n"
+        "th.numeral(1000)\n"
+        "print(len(calls))\n"))
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "1000\n"
+
+
+def test_negative_numerals_are_refused():
+    from weakarith.theories import SchemeError
+    with pytest.raises(SchemeError):
+        numeral(-1)
