@@ -15,16 +15,29 @@ import os
 import sys
 from pathlib import Path
 
+from .eqdecide import decide, normal_form, rank
 from .errors import FormatError, WorkbenchError
+from .experiments import (
+    equivalence_decider,
+    independence_search,
+    proof_search_decider,
+    stress_essential_undecidability,
+    table_decider,
+)
+from .godel import NotACode, godel_decode, godel_encode
 from .machines import (
     decode_program,
     load_pair_spec,
     parse_program,
     run_bounded,
 )
+from .modelsearch import model_search
+from .proofs import InvalidStepError, check_proof, format_proof, parse_proof, search_proof
 from .sexpr import infer_language, parse_formula, print_formula
 from .structures import format_structure, parse_structure
+from .syntax import formula_size
 from .theories import get_language, get_theory
+from .translate import obligations, parse_translation, translate_formula, verify_semantic
 
 USAGE_OK = 0
 DOMAIN_FAIL = 1
@@ -59,8 +72,6 @@ def _summary(args, **kv) -> None:
 # --- verb handlers ------------------------------------------------------------
 
 def _do_parse(args) -> int:
-    from .syntax import formula_size
-
     phi = _parse_text(_text_arg(args), args.lang and get_language(args.lang))
     print(print_formula(phi))
     if args.summary:
@@ -77,15 +88,10 @@ def _do_axioms(args) -> int:
 
 
 def _load_translation(path: str):
-    from .translate import parse_translation
-
     return parse_translation(_read(path))
 
 
 def _do_translate(args) -> int:
-    from .syntax import formula_size
-    from .translate import translate_formula
-
     tr = _load_translation(args.translation)
     phi = _parse_text(_text_arg(args), tr.source)
     out = translate_formula(tr, phi)
@@ -96,8 +102,6 @@ def _do_translate(args) -> int:
 
 
 def _do_obligations(args) -> int:
-    from .translate import obligations
-
     tr = _load_translation(args.translation)
     theory = get_theory(args.theory)
     sentences = obligations(tr, theory, args.first_k)
@@ -108,8 +112,6 @@ def _do_obligations(args) -> int:
 
 
 def _do_verify(args) -> int:
-    from .translate import verify_semantic
-
     tr = _load_translation(args.translation)
     theory = get_theory(args.theory)
     structure = parse_structure(_read(args.structure))
@@ -131,8 +133,6 @@ def _axioms_from_file(path: str, lang_id: str | None):
 
 
 def _do_find_model(args) -> int:
-    from .modelsearch import model_search
-
     if (args.axioms is None) == (args.theory is None):
         raise FormatError("give exactly one of --axioms and --theory")
     if args.axioms is not None:
@@ -162,8 +162,6 @@ def _render_profile(p) -> str:
 
 
 def _do_decide(args) -> int:
-    from .eqdecide import decide, rank
-
     phi = _decide_sentence(args)
     pair = load_pair_spec(args.pair)
     decision = decide(phi, pair, args.stage)
@@ -181,8 +179,6 @@ def _do_decide(args) -> int:
 
 
 def _do_normal_form(args) -> int:
-    from .eqdecide import normal_form, rank
-
     phi = _decide_sentence(args)
     r = args.rank if args.rank is not None else rank(phi)
     nf = normal_form(phi, r)
@@ -219,8 +215,6 @@ def _do_run_machine(args) -> int:
 
 
 def _do_check_proof(args) -> int:
-    from .proofs import InvalidStepError, check_proof, parse_proof
-
     theory = get_theory(args.theory)
     proof = parse_proof(_read(args.proof), theory.language)
     try:
@@ -235,8 +229,6 @@ def _do_check_proof(args) -> int:
 
 
 def _do_search_proof(args) -> int:
-    from .proofs import format_proof, search_proof
-
     theory = get_theory(args.theory)
     goal = parse_formula(_read(args.goal), theory.language)
     proof = search_proof(theory, goal, args.budget,
@@ -251,9 +243,6 @@ def _do_search_proof(args) -> int:
 
 
 def _do_godel(args) -> int:
-    from .godel import NotACode, godel_decode, godel_encode
-    from .syntax import formula_size
-
     if (args.encode is None) == (args.decode is None):
         raise FormatError("give exactly one of --encode and --decode")
     if args.encode is not None:
@@ -275,12 +264,6 @@ def _do_godel(args) -> int:
 
 
 def _make_decider(args, pair):
-    from .experiments import (
-        equivalence_decider,
-        proof_search_decider,
-        table_decider,
-    )
-
     name = args.decider
     if name == "table":
         return table_decider(pair, args.stage)
@@ -294,8 +277,6 @@ def _make_decider(args, pair):
 
 
 def _do_independence(args) -> int:
-    from .experiments import independence_search
-
     pair = load_pair_spec(args.pair)
     decider = _make_decider(args, pair)
     report = independence_search(pair, decider, args.n_max, stage=args.stage)
@@ -317,8 +298,6 @@ def _do_independence(args) -> int:
 
 
 def _do_stress(args) -> int:
-    from .experiments import stress_essential_undecidability
-
     theory = get_theory(args.theory)
     if args.pair is not None:
         pair = load_pair_spec(args.pair)

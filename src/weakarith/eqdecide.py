@@ -156,6 +156,20 @@ def _profile_blocks(profile: SizeProfile) -> tuple[int, ...]:
     return tuple(blocks)
 
 
+def _moves(touched, untouched, asg):
+    """Each orbit representative for a fresh variable, as (touched, untouched, value)."""
+    for element in sorted(set(asg.values())):
+        yield touched, untouched, element
+    for slot, (size, used) in enumerate(touched):
+        if used < size:
+            yield touched[:slot] + ((size, used + 1),) + touched[slot + 1:], untouched, (slot, used)
+    for size in sorted(untouched):
+        if untouched[size] > 0:
+            rest = dict(untouched)
+            rest[size] -= 1
+            yield touched + ((size, 1),), rest, (len(touched), 0)
+
+
 def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
     """Evaluate a one-binary-relation sentence on a disjoint-block structure.
 
@@ -183,27 +197,7 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
         if t is Eq:
             return asg[f.left.name] == asg[f.right.name]
         want_all = t is ForAll
-        moves: list[tuple] = []
-        for element in sorted(set(asg.values())):
-            moves.append(("reuse", element))
-        for slot, (size, used) in enumerate(touched):
-            if used < size:
-                moves.append(("fresh", slot))
-        for size in sorted(untouched):
-            if untouched[size] > 0:
-                moves.append(("open", size))
-        for kind, what in moves:
-            if kind == "reuse":
-                t2, u2, value = touched, untouched, what
-            elif kind == "fresh":
-                size, used = touched[what]
-                t2 = touched[:what] + ((size, used + 1),) + touched[what + 1:]
-                u2, value = untouched, (what, used)
-            else:
-                t2 = touched + ((what, 1),)
-                u2 = dict(untouched)
-                u2[what] -= 1
-                value = (len(touched), 0)
+        for t2, u2, value in _moves(touched, untouched, asg):
             got = truth(f.body, atom, (t2, u2, {**asg, f.var: value}))
             if got != want_all:
                 return got

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .eqdecide import decide
 from .errors import WorkbenchError
 from .machines import OraclePair
+from .proofs import search_proof
 from .syntax import KIND_RELATION, Formula, Not, Rel
 from .theories import Theory, numeral_value, predicate_atom, size_exists
 
@@ -79,15 +81,12 @@ def table_decider(pair: OraclePair, stage: int) -> DeciderHandle:
     return DeciderHandle("table", stage, fn)
 
 
-def proof_search_decider(theory: Theory, budget: int, *,
-                         numeral_bound: int = 2) -> DeciderHandle:
+def proof_search_decider(theory: Theory, budget: int) -> DeciderHandle:
     """Answer through bounded proof search in the given theory."""
-    from .proofs import search_proof
-
     def fn(phi: Formula) -> str:
-        if search_proof(theory, phi, budget, numeral_bound=numeral_bound):
+        if search_proof(theory, phi, budget):
             return PROVABLE
-        if search_proof(theory, Not(phi), budget, numeral_bound=numeral_bound):
+        if search_proof(theory, Not(phi), budget):
             return REFUTABLE
         return DONT_KNOW
 
@@ -101,8 +100,6 @@ def equivalence_decider(pair: OraclePair, stage: int) -> DeciderHandle:
     size-witness sentence, so the handle also serves the literal-driven
     harnesses.
     """
-    from .eqdecide import decide
-
     def fn(phi: Formula) -> str:
         positive = True
         got = classify_predicate_literal(phi)

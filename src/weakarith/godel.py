@@ -45,6 +45,7 @@ deeper than the recursion limit ends in RecursionError, not CodeTooLarge.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from math import isqrt
 
 from .errors import WorkbenchError
@@ -95,11 +96,11 @@ def _encode_str(s: str) -> int:
 def _decode_str(code: int) -> str:
     n, value = unpair(code)
     if n > code.bit_length():
-        raise NotACode(f"string length {n} exceeds the {code.bit_length()} bits of its code")
+        raise NotACode(f"string length {Decimal(n)} exceeds the {code.bit_length()} bits of its code")
     try:
         name = value.to_bytes(n, "big").decode("utf-8")
     except (OverflowError, UnicodeDecodeError) as exc:
-        raise NotACode(f"bad string payload {code}") from exc
+        raise NotACode(f"bad string payload {Decimal(code)}") from exc
     if not is_name_token(name):
         raise NotACode(f"name {name!r} is not one token of the grammar")
     return name
@@ -165,7 +166,7 @@ def _encode_args(args) -> int:
 def _decode(code: int, kind: str):
     tag, payload = unpair(code)
     if tag >= len(_TABLE) or _TABLE[tag][1] != kind:
-        raise NotACode(f"bad {kind} tag {tag}")
+        raise NotACode(f"bad {kind} tag {Decimal(tag)}")
     cls, _, fields = _TABLE[tag]
     if not fields:
         if payload != 0:

@@ -6,7 +6,10 @@ relations, each group sorted by arity then name, cells row-major, values
 ascending).  Every pruned branch adds its whole block of completions to
 the examined counter, so on a failed search the counter equals the
 closed-form structure count.  The first completed witness is therefore
-the lexicographically least one.
+the lexicographically least one.  Each cell carries its value set; under
+symmetry breaking the first cell, which belongs to the first constant when
+there is one, has the value set {0}, since any witness can be renamed so
+that this constant is 0.
 
 Pruning uses Kleene's three-valued logic over the partial tables: an
 unfilled cell reads None, and a formula is True or False only when every
@@ -47,20 +50,19 @@ from .syntax import (
 
 
 def _symbol_tables(axioms):
-    """Merged (relation, function) arities, and each axiom's symbol names."""
+    """Merged (relation, function) arities, and per symbol the axioms reading it."""
     rels: dict[str, int] = {}
     funs: dict[str, int] = {}
-    mentioned = []
-    for phi in axioms:
-        r, f = symbols_of(phi)
-        mentioned.append(r.keys() | f.keys())
-        for table, found in ((rels, r), (funs, f)):
+    readers: dict[str, set[int]] = {}
+    for j, phi in enumerate(axioms):
+        for table, found in zip((rels, funs), symbols_of(phi)):
             for name, arity in found.items():
                 note_arity(table, name, arity)
+                readers.setdefault(name, set()).add(j)
     shared = rels.keys() & funs.keys()
     if shared:
         raise LanguageError(f"symbols used both ways: {sorted(shared)}")
-    return rels, funs, mentioned
+    return rels, funs, readers
 
 
 def fragment_symbols(axioms) -> tuple[dict[str, int], dict[str, int]]:
@@ -212,28 +214,24 @@ def _unfold(idx: int, arity: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
+def _search_at_size(axioms, k, rels, funs, readers, symmetry_breaking):
     funtabs = {name: [None] * (k ** a) for name, a in funs.items()}
     reltabs = {name: [None] * (k ** a) for name, a in rels.items()}
-    cells: list[tuple[str, str, int]] = []
-    for name, a in sorted(funs.items(), key=lambda kv: (kv[1], kv[0])):
-        cells.extend(("fun", name, i) for i in range(k ** a))
-    for name, a in sorted(rels.items(), key=lambda kv: (kv[1], kv[0])):
-        cells.extend(("rel", name, i) for i in range(k ** a))
-
-    domain = [k if kind == "fun" else 2 for kind, _, _ in cells]
+    # one record per cell in search order: (table, index, values, the
+    # indices of the axioms that read its symbol)
+    cells = []
+    for tabs, arities, values in ((funtabs, funs, range(k)), (reltabs, rels, (False, True))):
+        for name, a in sorted(arities.items(), key=lambda kv: (kv[1], kv[0])):
+            cells.extend((tabs[name], i, values, readers[name]) for i in range(k ** a))
+    # symmetry breaking fixes the first constant, whose cell comes first, at 0
+    if symmetry_breaking and 0 in funs.values():
+        tab, i, _, reading = cells[0]
+        cells[0] = (tab, i, (0,), reading)
     suffix = [1] * (len(cells) + 1)
     for p in reversed(range(len(cells))):
-        suffix[p] = suffix[p + 1] * domain[p]
-    # any witness can be renamed so that the first constant is 0; symmetry
-    # breaking searches, and counts, only that value of the first cell
-    first_fixed = (symmetry_breaking and bool(cells) and cells[0][0] == "fun"
-                   and funs[cells[0][1]] == 0)
+        suffix[p] = suffix[p + 1] * len(cells[p][2])
 
     checks = [_compile(ax, k, funtabs, reltabs) for ax in axioms]
-    # per symbol, the indices of the axioms that mention it
-    users = {name: {j for j, names in enumerate(mentioned) if name in names}
-             for name in (*funs, *rels)}
     examined = 0
 
     def recheck(pending, touched):
@@ -260,23 +258,16 @@ def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
         nonlocal examined
         if not pending:
             # every axiom is true and the remaining cells are unconstrained;
-            # the least completion zeroes every function cell and leaves
-            # relations empty
-            filled = cells[p:]
-            for kind, name, i in filled:
-                (funtabs if kind == "fun" else reltabs)[name][i] = \
-                    0 if kind == "fun" else False
+            # the least completion gives each its first value
+            rest = cells[p:]
+            for tab, i, values, _ in rest:
+                tab[i] = values[0]
             witness = freeze()
-            for kind, name, i in filled:
-                (funtabs if kind == "fun" else reltabs)[name][i] = None
+            for tab, i, _, _ in rest:
+                tab[i] = None
             examined += 1
             return witness
-        kind, name, i = cells[p]
-        tab = funtabs[name] if kind == "fun" else reltabs[name]
-        touched = users[name]
-        values = range(k) if kind == "fun" else (False, True)
-        if p == 0 and first_fixed:
-            values = (0,)
+        tab, i, values, touched = cells[p]
         for v in values:
             tab[i] = v
             still = recheck(pending, touched)
@@ -293,7 +284,7 @@ def _search_at_size(axioms, k, rels, funs, mentioned, symmetry_breaking):
     everything = range(len(axioms))
     pending = recheck(everything, everything)
     if pending is None:
-        return None, suffix[1] if first_fixed else suffix[0]
+        return None, suffix[0]
     return dfs(0, pending), examined
 
 
@@ -303,19 +294,19 @@ def model_search(axioms, max_size: int,
 
     The per-size examined counter equals the closed-form structure count
     whenever no witness exists at that size and symmetry breaking is off.
-    With symmetry breaking on and a constant in the signature, it counts
-    the restricted space, where the first constant is 0: a k-th of the
-    structures of size k.
+    With symmetry breaking on and a constant in the signature, the first
+    constant's cell has the value set {0}, so the counter counts that
+    restricted space: a k-th of the structures of size k.
     """
     axioms = list(axioms)
     for phi in axioms:
         if free_variables(phi):
             raise LanguageError("model search expects sentences")
-    rels, funs, mentioned = _symbol_tables(axioms)
+    rels, funs, readers = _symbol_tables(axioms)
     reports = []
     witness = None
     for k in range(1, max_size + 1):
-        found, examined = _search_at_size(axioms, k, rels, funs, mentioned,
+        found, examined = _search_at_size(axioms, k, rels, funs, readers,
                                           symmetry_breaking)
         reports.append(SizeReport(k, examined, closed_form_count(rels, funs, k)))
         if found is not None:
@@ -327,22 +318,3 @@ def model_search(axioms, max_size: int,
 def find_model(axioms, max_size: int,
                symmetry_breaking: bool = False) -> FiniteStructure | None:
     return model_search(axioms, max_size, symmetry_breaking).witness
-
-
-@dataclass(frozen=True)
-class PrefixRow:
-    prefix_length: int
-    witness_size: int | None
-    witness: FiniteStructure | None
-
-
-def check_local_finsat(theory, first_k: int, max_size: int,
-                       symmetry_breaking: bool = False) -> tuple[PrefixRow, ...]:
-    """find_model over each prefix of the theory's first k axioms."""
-    rows = []
-    axioms = []
-    for i in range(first_k):
-        axioms.append(theory.axiom_of(i))
-        got = find_model(axioms, max_size, symmetry_breaking)
-        rows.append(PrefixRow(i + 1, got.size if got else None, got))
-    return tuple(rows)

@@ -403,8 +403,8 @@ def _fixed(name: str, language: Language, axioms) -> Theory:
     axs = tuple(axioms)
     table = frozenset(axs)
 
-    def ax_fn(i: int, _axs=axs) -> Formula:
-        return _axs[i % len(_axs)]
+    def ax_fn(i: int) -> Formula:
+        return axs[i % len(axs)]
 
     return Theory(name, language, ax_fn, lambda phi: phi in table)
 

@@ -16,6 +16,8 @@ from itertools import product as iterproduct
 from typing import Mapping
 
 from .errors import FormatError, WorkbenchError
+from .modelsearch import fragment_symbols
+from .sexpr import parse_formula
 from .structures import FiniteStructure, eval_formula
 from .syntax import (
     KIND_FUNCTION,
@@ -33,6 +35,7 @@ from .syntax import (
     Not,
     Or,
     Rel,
+    Symbol,
     Term,
     Var,
     Verum,
@@ -42,6 +45,7 @@ from .syntax import (
     substitute_many,
     validate_formula,
 )
+from .theories import CATALOG, LANG_ORDERED_ARITH, get_language
 
 
 class TranslationError(WorkbenchError):
@@ -236,8 +240,6 @@ def obligations(translation: Translation, theory, first_k: int) -> list[Formula]
     axioms; equality congruence covers occurring symbols of arity >= 1.
     Each group is deterministically ordered and deduplicated.
     """
-    from .modelsearch import fragment_symbols
-
     axioms = [theory.axiom_of(i) for i in range(first_k)]
     used_rels, used_funs = fragment_symbols(axioms)
 
@@ -369,9 +371,6 @@ def marker_collapse_translation(product_lang: Language, marker: str,
 
 def builtin_translations() -> dict[str, Translation]:
     """Named catalog; lookup by dict access, absent names just miss."""
-    from .syntax import Symbol
-    from .theories import CATALOG, LANG_ORDERED_ARITH
-
     out = {}
     for tid, theory in CATALOG.items():
         if not theory.language.families():
@@ -390,9 +389,6 @@ def parse_translation(text: str) -> Translation:
     Designated variables are v0..vk by position: relation arguments then,
     for functions, the result variable last.
     """
-    from .sexpr import parse_formula
-    from .theories import get_language
-
     source = target = None
     domain_text = None
     rel_lines: list[tuple[str, str]] = []

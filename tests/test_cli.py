@@ -374,7 +374,7 @@ def test_repeated_main_calls_match_first_calls(capsys):
 
 
 def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeypatch):
-    import weakarith.syntax
+    import weakarith.cli
 
     tr_path = tmp_path / "id.tr"
     tr_path.write_text(IDENTITY_R)
@@ -393,7 +393,7 @@ def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeyp
         calls.append(phi)
         raise AssertionError("formula_size called without --summary")
 
-    monkeypatch.setattr(weakarith.syntax, "formula_size", formula_size)
+    monkeypatch.setattr(weakarith.cli, "formula_size", formula_size)
     for argv, want in zip(verbs, plain):
         assert main(argv) == 0
         assert capsys.readouterr().out == want

@@ -9,6 +9,7 @@ random integers, mutated codes, bad tags, a payload on true or false, and
 string lengths past the cap.
 """
 
+from decimal import Decimal
 from math import isqrt
 
 import pytest
@@ -48,11 +49,11 @@ def _encode_str(s: str) -> int:
 def _decode_str(code: int) -> str:
     n, value = unpair(code)
     if n > code.bit_length():
-        raise NotACode(f"string length {n} exceeds the {code.bit_length()} bits of its code")
+        raise NotACode(f"string length {Decimal(n)} exceeds the {code.bit_length()} bits of its code")
     try:
         name = value.to_bytes(n, "big").decode("utf-8")
     except (OverflowError, UnicodeDecodeError) as exc:
-        raise NotACode(f"bad string payload {code}") from exc
+        raise NotACode(f"bad string payload {Decimal(code)}") from exc
     if not is_name_token(name):
         raise NotACode(f"name {name!r} is not one token of the grammar")
     return name
@@ -86,7 +87,7 @@ def _decode_term(code: int):
     if tag == 1:
         name_code, args_code = unpair(payload)
         return App(_decode_str(name_code), tuple(_decode_term(c) for c in _decode_list(args_code)))
-    raise NotACode(f"bad term tag {tag}")
+    raise NotACode(f"bad term tag {Decimal(tag)}")
 
 
 _BIN_TAGS = {7: And, 8: Or, 9: Implies}
@@ -143,7 +144,7 @@ def old_decode(code: int):
         var = _decode_str(var_code)
         cls = ForAll if tag == 10 else Exists
         return cls(var, old_decode(body_code))
-    raise NotACode(f"bad formula tag {tag}")
+    raise NotACode(f"bad formula tag {Decimal(tag)}")
 
 
 # --- inputs ---------------------------------------------------------------------------

@@ -111,6 +111,34 @@ def test_decoded_string_length_is_capped_by_the_code_bits():
     assert peak < 2**20
 
 
+def test_numbers_past_the_digit_limit_still_give_not_a_code():
+    # each crafted code puts a number of more than 4,300 digits into its
+    # message; a fresh interpreter has the default int-to-str limit
+    from fresh import run_python
+
+    script = """
+import sys
+from weakarith.godel import NotACode, godel_decode, pair
+assert sys.get_int_max_str_digits() == 4300
+huge = 10 ** 4400
+cases = [(pair(huge, 0), "bad formula tag {}", huge),
+         (pair(2, pair(pair(huge, 0), 0)), "string length {} exceeds", huge),
+         (pair(2, pair(pair(1, huge), 0)), "bad string payload {}", pair(1, huge))]
+messages = []
+for code, _, _ in cases:
+    try:
+        godel_decode(code)
+    except NotACode as exc:
+        messages.append(str(exc))
+sys.set_int_max_str_digits(0)
+for message, (_, want, number) in zip(messages, cases, strict=True):
+    assert message.startswith(want.format(number)), message[:60]
+print("ok")
+"""
+    got = run_python("-c", script, timeout=60)
+    assert (got.returncode, got.stdout, got.stderr) == (0, "ok\n", "")
+
+
 @pytest.mark.parametrize("name", ["\x00" * 6, "\x00" * 9 + "\x07", "\x00" * 64 + "x"])
 def test_names_past_the_cap_are_refused_both_ways(name):
     from weakarith.syntax import LanguageError

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from weakarith.modelsearch import (
     SizeReport,
     _compile,
-    check_local_finsat,
     closed_form_count,
     find_model,
     fragment_symbols,
@@ -32,7 +31,7 @@ from weakarith.syntax import (
     Verum,
     free_variables,
 )
-from weakarith.theories import get_language, get_theory
+from weakarith.theories import get_language
 
 LANG_EQ = get_language("eq")
 
@@ -105,14 +104,6 @@ def test_symmetry_breaking_counts_the_restricted_space(texts):
     # c is fixed at 0, so one of the k structures of size k is examined
     assert [(r.examined, r.total) for r in outcome.reports] == \
         [(1, 1), (1, 2), (1, 3)]
-
-
-def test_check_local_finsat_prefix_rows():
-    rows = check_local_finsat(get_theory("R"), 6, 4)
-    assert [r.prefix_length for r in rows] == [1, 2, 3, 4, 5, 6]
-    for row in rows:
-        assert row.witness is not None
-        assert row.witness_size <= 4
 
 
 def test_function_tables_are_searched():
