@@ -145,8 +145,14 @@ class Language:
 # free of recursion at any depth. The table is a plain dict and holds every
 # distinct node a process has built; a WeakValueDictionary would let unused
 # nodes go, at the price of a slower, Python-level lookup on every construction.
+#
+# Substitution is memoized per (phi, mapping) in _SUBSTITUTIONS: its
+# arguments are interned, so a key hashes and compares in O(1) per entry, and
+# a hit returns the very node the call would build. Like _NODES, the memo
+# lives as long as the process, with one entry per distinct outermost call.
 
 _NODES: dict[tuple, "_Node"] = {}
+_SUBSTITUTIONS: dict[tuple, "Formula"] = {}
 _new = object.__new__
 _set = object.__setattr__
 
@@ -531,11 +537,25 @@ def fresh_variant(name: str, forbidden) -> str:
 
 
 def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
+    """t with mapping's terms put for its variables; a ground t comes back as is.
+
+    A chain of unary applications (h (h ... base)) is walked down once,
+    collecting its heads, and rebuilt over the substituted base in one
+    loop, so deep numerals over a variable meet no recursion limit.
+    """
     if t.ground:
         return t
+    heads = []
+    while type(t) is App and len(t.args) == 1:  # an open chain has an open base
+        heads.append(t.name)
+        t = t.args[0]
     if type(t) is Var:
-        return mapping.get(t.name, t)
-    return App(t.name, tuple([substitute_term(a, mapping) for a in t.args]))
+        t = mapping.get(t.name, t)
+    else:
+        t = App(t.name, tuple([substitute_term(a, mapping) for a in t.args]))
+    while heads:
+        t = App(heads.pop(), (t,))
+    return t
 
 
 def substitute_many(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
@@ -543,11 +563,20 @@ def substitute_many(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
 
     Bound variables that would capture a substituted term are renamed with
     fresh_variant, so the result is deterministic. A subformula that no
-    entry touches comes back as the same object.
+    entry touches comes back as the same object. Results are memoized per
+    (phi, mapping); like the intern table, the memo lives as long as the
+    process, with one entry per distinct outermost call.
     """
-    mapping = {v: t for v, t in mapping.items() if t != Var(v)}
-    if not mapping:
-        return phi
+    key = (phi, *mapping.items())
+    got = _SUBSTITUTIONS.get(key)
+    if got is None:
+        mapping = {v: t for v, t in mapping.items() if t != Var(v)}
+        got = _SUBSTITUTIONS[key] = _substitute(phi, mapping) if mapping else phi
+    return got
+
+
+def _substitute(phi: Formula, mapping: dict[str, Term]) -> Formula:
+    """substitute_many's core: mapping has no identity entry and is not empty."""
     kind = type(phi)
     if kind is Rel:
         return Rel(phi.name, tuple([substitute_term(a, mapping) for a in phi.args]))
@@ -556,9 +585,9 @@ def substitute_many(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
     if kind is Verum or kind is Falsum:
         return phi
     if kind is Not:
-        return Not(substitute_many(phi.body, mapping))
+        return Not(_substitute(phi.body, mapping))
     if kind is And or kind is Or or kind is Implies:
-        return kind(substitute_many(phi.left, mapping), substitute_many(phi.right, mapping))
+        return kind(_substitute(phi.left, mapping), _substitute(phi.right, mapping))
     if kind is ForAll or kind is Exists:
         free = free_variables(phi.body)
         relevant = {v: t for v, t in mapping.items() if v != phi.var and v in free}
@@ -573,8 +602,8 @@ def substitute_many(phi: Formula, mapping: Mapping[str, Term]) -> Formula:
         if var in incoming:
             forbidden = incoming | all_variable_names(body) | set(relevant)
             var = fresh_variant(var, forbidden)
-            body = substitute_many(body, {phi.var: Var(var)})
-        return kind(var, substitute_many(body, relevant))
+            body = _substitute(body, {phi.var: Var(var)})
+        return kind(var, _substitute(body, relevant))
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -559,6 +559,31 @@ def test_a_repeated_pass_adds_no_node():
     assert len(_NODES) == before
 
 
+def test_a_repeated_pass_adds_no_memo_entry():
+    """The substitution memo is bounded by the distinct outermost calls."""
+    from weakarith.proofs import search_proof
+    from weakarith.syntax import _NODES, _SUBSTITUTIONS
+    from weakarith.theories import get_theory
+    from weakarith.translate import builtin_translations, translate_formula
+
+    r, q = get_theory("R"), get_theory("Q")
+    identity = builtin_translations()["identity:R"]
+
+    def one_pass():
+        assert search_proof(r, Eq(numeral(1), numeral(2)), 150) is None
+        for i in range(7):
+            phi = q.axiom_of(i)
+            for k in range(4):
+                substitute(phi.body, phi.var, numeral(k))
+            substitute(phi.body, phi.var, s(y))  # renames the binder y in axiom 2
+        translate_formula(identity, And(r.axiom_of(3), r.axiom_of(4)))
+
+    one_pass()
+    nodes, entries = len(_NODES), len(_SUBSTITUTIONS)
+    one_pass()
+    assert (len(_NODES), len(_SUBSTITUTIONS)) == (nodes, entries)
+
+
 # --- substitution against the plain definition -----------------------------
 
 def _ref_substitute_term(t, mapping):
@@ -604,18 +629,61 @@ _SUB_TERMS = st.sampled_from([
 ])
 
 
+def _mixed_chain(base, depth):
+    """(f (f (S (f (f (S ... base)))))): a unary chain whose heads differ."""
+    for k in range(depth):
+        base = App("S" if k % 3 == 0 else "f", (base,))
+    return base
+
+
 @given(_formulas(), st.dictionaries(st.sampled_from(_NAMES), _SUB_TERMS, max_size=3))
-@example(ForAll("x", Eq(x, y)), {"y": x})
+@example(ForAll("x", Eq(x, y)), {"y": x})                            # a renamed binder
 @example(ForAll("x", Exists("x1", Eq(App("+", (x, App("f", (App("0"),)))), y))), {"y": x, "x": zero})
 @example(ForAll("y", Rel("E", (x, y))), {"x": App("+", (y, z)), "z": x})
+@example(Rel("E", (x, App("f", (y,)))), {"x": x, "y": zero})         # an identity entry
+@example(Eq(_mixed_chain(x, 400), App("+", (_mixed_chain(y, 3), x))),  # a deep unary chain
+         {"x": s(y), "y": App("+", (x, zero))})
 def test_substitute_many_matches_the_plain_definition(phi, mapping):
+    """Each substitution is made twice: the second call answers from the
+    memo with the first call's node. A reordered mapping gives that node
+    too, and a mapping with other terms for the same variables does not
+    answer from the first mapping's entry."""
     from weakarith.sexpr import print_formula
 
-    got = substitute_many(phi, mapping)
-    assert print_formula(got) == print_formula(_ref_substitute(phi, mapping))
+    def check(mapping):
+        got = substitute_many(phi, mapping)
+        assert print_formula(got) == print_formula(_ref_substitute(phi, mapping))
+        assert substitute_many(phi, mapping) is got
+        assert substitute_many(phi, dict(reversed(mapping.items()))) is got
+        return got
+
+    check(mapping)
+    check({v: s(t) for v, t in mapping.items()})
     for var, term in mapping.items():
-        want = print_formula(_ref_substitute(phi, {var: term}))
-        assert print_formula(substitute(phi, var, term)) == want
+        want = check({var: term})
+        assert substitute(phi, var, term) is want
+        assert substitute(phi, var, term) is want
+
+
+def test_substitute_into_a_deep_chain_at_the_default_recursion_limit():
+    from fresh import run_python
+
+    got = run_python("-c", (
+        "import sys\n"
+        "from weakarith.syntax import App, Eq, Var, substitute\n"
+        "from weakarith.theories import numeral\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "x = Var('x')\n"
+        "chain = x\n"
+        "for _ in range(50000):\n"
+        "    chain = App('S', (chain,))\n"
+        "got = substitute(Eq(chain, App('S', (x,))), 'x', numeral(5))\n"
+        "want = App('0')\n"
+        "for _ in range(50005):\n"
+        "    want = App('S', (want,))\n"
+        "assert got is Eq(want, App('S', (App('S', (App('S', (App('S', (App('S', (\n"
+        "    App('S', (App('0'),)),)),)),)),)),)))\n"))
+    assert got.returncode == 0, got.stderr
 
 
 def test_repr_of_a_deep_numeral_at_the_default_recursion_limit():
