@@ -13,9 +13,12 @@ that this constant is 0.
 
 Pruning uses Kleene's three-valued logic over the partial tables: an
 unfilled cell reads None, and a formula is True or False only when every
-way of filling its unknown cells agrees.  For each size, every axiom is
-compiled once into nested closures that read the flat tables in place;
-bound variables live in a slot list indexed by quantifier depth.  Each
+way of filling its unknown cells agrees.  Each search compiles every axiom
+once into nested closures that read the flat tables in place; between
+sizes the tables are resized in place and the size the closures read is
+rebound, so the same closures serve every size.  Bound variables live in
+a slot list indexed by quantifier depth, and a variable argument is read
+from its slot inside the lookup or equality that uses it.  Each
 search node inherits the statuses its parent computed and re-evaluates
 only the axioms still unknown that mention the symbol of the cell just
 filled; an axiom's value depends on its own symbols' cells alone.  An
@@ -94,30 +97,83 @@ class SearchOutcome:
     reports: tuple[SizeReport, ...]
 
 
-def _compile(phi, k: int, funtabs, reltabs):
-    """A no-argument closure giving the sentence's Kleene value (None = unknown)."""
+# per binary connective: the left side at `stop` makes the value `stopped`;
+# the right side at `wins` makes it `wins`; otherwise two known sides give
+# `both`
+_KLEENE = {And: (False, False, False, True),
+           Or: (True, True, True, False),
+           Implies: (False, True, True, False)}
+
+
+def _compiler(rels: dict[str, int], funs: dict[str, int]):
+    """One search's compiler: `(compile_check, resize, funtabs, reltabs)`.
+
+    `compile_check(phi)` turns a sentence over these symbols into a
+    no-argument closure giving its Kleene value (None = unknown) on the
+    tables `funtabs` and `reltabs`.  `resize(k)` makes every table k**arity
+    unknown cells in place and sets the size every closure reads, so one
+    compiled check serves every size.
+    """
+    funtabs: dict[str, list] = {name: [] for name in funs}
+    reltabs: dict[str, list] = {name: [] for name in rels}
+    # one slot list for every sentence compiled here: checks run one at a
+    # time and never interleave, and a quantifier sets its slot before its
+    # body reads it
     env: list[int] = []
+    k = 0
+    universe = range(0)
+
+    def resize(size: int) -> None:
+        nonlocal k, universe
+        k, universe = size, range(size)
+        for tabs, arities in ((funtabs, funs), (reltabs, rels)):
+            for name, a in arities.items():
+                tabs[name][:] = [None] * size ** a
 
     def term(t, scope):
-        if isinstance(t, Var):
+        if type(t) is Var:
             slot = scope[t.name]
             return lambda: env[slot]
         return entry(funtabs[t.name], t.args, scope)
 
     def entry(tab, args, scope):
-        # the table cell at the arguments' row-major index
+        # the table cell at the arguments' row-major index; a variable
+        # argument is read from its slot in place, never through a call
         if not args:
             return lambda: tab[0]
-        parts = [term(a, scope) for a in args]
-        if len(parts) == 1:
-            (f,) = parts
+        if len(args) == 1:
+            (x,) = args
+            if type(x) is Var:
+                s = scope[x.name]
+                return lambda: tab[env[s]]
+            f = term(x, scope)
 
             def unary():
                 a = f()
                 return None if a is None else tab[a]
             return unary
-        if len(parts) == 2:
-            f, g = parts
+        if len(args) == 2:
+            x, y = args
+            if type(x) is Var:
+                s = scope[x.name]
+                if type(y) is Var:
+                    t = scope[y.name]
+                    return lambda: tab[env[s] * k + env[t]]
+                g = term(y, scope)
+
+                def var_term():
+                    b = g()
+                    return None if b is None else tab[env[s] * k + b]
+                return var_term
+            f = term(x, scope)
+            if type(y) is Var:
+                t = scope[y.name]
+
+                def term_var():
+                    a = f()
+                    return None if a is None else tab[a * k + env[t]]
+                return term_var
+            g = term(y, scope)
 
             def binary():
                 a = f()
@@ -126,6 +182,7 @@ def _compile(phi, k: int, funtabs, reltabs):
                 b = g()
                 return None if b is None else tab[a * k + b]
             return binary
+        parts = [term(a, scope) for a in args]
 
         def nary():
             idx = 0
@@ -138,10 +195,26 @@ def _compile(phi, k: int, funtabs, reltabs):
         return nary
 
     def formula(f, scope, depth):
-        if isinstance(f, Rel):
+        cls = type(f)
+        if cls is Rel:
             return entry(reltabs[f.name], f.args, scope)
-        if isinstance(f, Eq):
-            left, right = term(f.left, scope), term(f.right, scope)
+        if cls is Eq:
+            x, y = f.left, f.right
+            if type(x) is Var:
+                # equality is symmetric: a variable side goes to the right
+                x, y = y, x
+            if type(y) is Var:
+                t = scope[y.name]
+                if type(x) is Var:
+                    s = scope[x.name]
+                    return lambda: env[s] == env[t]
+                left = term(x, scope)
+
+                def eq_var():
+                    a = left()
+                    return None if a is None else a == env[t]
+                return eq_var
+            left, right = term(x, scope), term(y, scope)
 
             def eq():
                 a = left()
@@ -150,26 +223,21 @@ def _compile(phi, k: int, funtabs, reltabs):
                 b = right()
                 return None if b is None else a == b
             return eq
-        if isinstance(f, Verum):
+        if cls is Verum:
             return lambda: True
-        if isinstance(f, Falsum):
+        if cls is Falsum:
             return lambda: False
-        if isinstance(f, Not):
+        if cls is Not:
             body = formula(f.body, scope, depth)
 
             def neg():
                 got = body()
                 return None if got is None else not got
             return neg
-        if isinstance(f, (And, Or, Implies)):
+        if cls in _KLEENE:
             left = formula(f.left, scope, depth)
             right = formula(f.right, scope, depth)
-            # the left side at `stop` makes the value `stopped`; the right
-            # side at `wins` makes it `wins`; otherwise two known sides
-            # give `both`
-            stop, stopped, wins, both = {And: (False, False, False, True),
-                                         Or: (True, True, True, False),
-                                         Implies: (False, True, True, False)}[type(f)]
+            stop, stopped, wins, both = _KLEENE[cls]
 
             def connective():
                 a = left()
@@ -180,15 +248,14 @@ def _compile(phi, k: int, funtabs, reltabs):
                     return wins
                 return None if a is None or b is None else both
             return connective
-        if isinstance(f, (ForAll, Exists)):
+        if cls is ForAll or cls is Exists:
             # one slot per quantifier depth: a re-bound name gets a fresh
             # slot, and the outer binding's slot is left untouched
             slot = depth
             if len(env) <= slot:
                 env.append(0)
             body = formula(f.body, {**scope, f.var: slot}, depth + 1)
-            want = isinstance(f, Exists)
-            universe = range(k)
+            want = cls is Exists
 
             def quantifier():
                 unknown = False
@@ -203,7 +270,10 @@ def _compile(phi, k: int, funtabs, reltabs):
             return quantifier
         raise LanguageError(f"not a formula: {f!r}")
 
-    return formula(phi, {}, 0)
+    def compile_check(phi):
+        return formula(phi, {}, 0)
+
+    return compile_check, resize, funtabs, reltabs
 
 
 def _unfold(idx: int, arity: int, k: int) -> tuple[int, ...]:
@@ -214,9 +284,9 @@ def _unfold(idx: int, arity: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _search_at_size(axioms, k, rels, funs, readers, symmetry_breaking):
-    funtabs = {name: [None] * (k ** a) for name, a in funs.items()}
-    reltabs = {name: [None] * (k ** a) for name, a in rels.items()}
+def _search_at_size(checks, k, funtabs, reltabs, rels, funs, readers,
+                    symmetry_breaking):
+    """Search size k; `checks` read `funtabs` and `reltabs`, all unknown at size k."""
     # one record per cell in search order: (table, index, values, the
     # indices of the axioms that read its symbol)
     cells = []
@@ -231,7 +301,6 @@ def _search_at_size(axioms, k, rels, funs, readers, symmetry_breaking):
     for p in reversed(range(len(cells))):
         suffix[p] = suffix[p + 1] * len(cells[p][2])
 
-    checks = [_compile(ax, k, funtabs, reltabs) for ax in axioms]
     examined = 0
 
     def recheck(pending, touched):
@@ -281,7 +350,7 @@ def _search_at_size(axioms, k, rels, funs, readers, symmetry_breaking):
         tab[i] = None
         return None
 
-    everything = range(len(axioms))
+    everything = range(len(checks))
     pending = recheck(everything, everything)
     if pending is None:
         return None, suffix[0]
@@ -303,11 +372,14 @@ def model_search(axioms, max_size: int,
         if free_variables(phi):
             raise LanguageError("model search expects sentences")
     rels, funs, readers = _symbol_tables(axioms)
+    compile_check, resize, funtabs, reltabs = _compiler(rels, funs)
+    checks = [compile_check(ax) for ax in axioms]
     reports = []
     witness = None
     for k in range(1, max_size + 1):
-        found, examined = _search_at_size(axioms, k, rels, funs, readers,
-                                          symmetry_breaking)
+        resize(k)
+        found, examined = _search_at_size(checks, k, funtabs, reltabs, rels, funs,
+                                          readers, symmetry_breaking)
         reports.append(SizeReport(k, examined, closed_form_count(rels, funs, k)))
         if found is not None:
             witness = found

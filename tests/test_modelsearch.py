@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from weakarith.modelsearch import (
     SizeReport,
-    _compile,
+    _compiler,
     closed_form_count,
     find_model,
     fragment_symbols,
@@ -133,11 +133,24 @@ def _any(values):
     return _neg(_all([_neg(v) for v in values]))
 
 
+def _value(phi, k, funrows, relrows):
+    """phi's Kleene value at size k, with the given rows in one search's tables."""
+    rels, funs = fragment_symbols([phi])
+    compile_check, resize, funtabs, reltabs = _compiler(rels, funs)
+    check = compile_check(phi)
+    resize(k)
+    for tabs, rows in ((funtabs, funrows), (reltabs, relrows)):
+        for name, tab in tabs.items():
+            assert len(rows[name]) == len(tab)
+            tab[:] = rows[name]
+    return check()
+
+
 @pytest.mark.parametrize("a", _TRUTH)
 @pytest.mark.parametrize("b", _TRUTH)
 def test_compiled_connectives_are_kleene(a, b):
     p, q = Rel("P", ()), Rel("Q", ())
-    value = lambda phi: _compile(phi, 1, {}, {"P": [a], "Q": [b]})()
+    value = lambda phi: _value(phi, 1, {}, {"P": [a], "Q": [b]})
     assert value(Not(p)) is _neg(a)
     assert value(And(p, q)) is _all([a, b])
     assert value(Or(p, q)) is _any([a, b])
@@ -148,7 +161,7 @@ def test_compiled_connectives_are_kleene(a, b):
 def test_compiled_quantifiers_look_past_unknown_instances(row):
     # e.g. R = [None, True, False]: the second instance makes (exists x (R x)) true
     r = Rel("R", (Var("x"),))
-    value = lambda phi: _compile(phi, 3, {}, {"R": list(row)})()
+    value = lambda phi: _value(phi, 3, {}, {"R": list(row)})
     assert value(ForAll("x", r)) is _all(row)
     assert value(Exists("x", r)) is _any(row)
 
@@ -167,7 +180,180 @@ def test_compiled_lookups_read_row_major_cells(text, want):
     # size 2: c = 1, f = [unknown, 0], E's cell for (a, b) is 2a + b
     phi = parse_formula(text, infer_language([text]))
     tables = {"c": [1], "f": [None, 0]}, {"E": [None, False, True, None]}
-    assert _compile(phi, 2, *tables)() is want
+    assert _value(phi, 2, *tables) is want
+
+
+# --- one compiled check across sizes against the per-size compiler ------------
+
+def _compile_at_size(phi, k, funtabs, reltabs):
+    """The per-size compiler the one-per-search compiler replaced: a no-argument
+    closure giving the sentence's Kleene value (None = unknown) at size k."""
+    env: list[int] = []
+
+    def term(t, scope):
+        if isinstance(t, Var):
+            slot = scope[t.name]
+            return lambda: env[slot]
+        return entry(funtabs[t.name], t.args, scope)
+
+    def entry(tab, args, scope):
+        # the table cell at the arguments' row-major index
+        if not args:
+            return lambda: tab[0]
+        parts = [term(a, scope) for a in args]
+        if len(parts) == 1:
+            (f,) = parts
+
+            def unary():
+                a = f()
+                return None if a is None else tab[a]
+            return unary
+        if len(parts) == 2:
+            f, g = parts
+
+            def binary():
+                a = f()
+                if a is None:
+                    return None
+                b = g()
+                return None if b is None else tab[a * k + b]
+            return binary
+
+        def nary():
+            idx = 0
+            for f in parts:
+                v = f()
+                if v is None:
+                    return None
+                idx = idx * k + v
+            return tab[idx]
+        return nary
+
+    def formula(f, scope, depth):
+        if isinstance(f, Rel):
+            return entry(reltabs[f.name], f.args, scope)
+        if isinstance(f, Eq):
+            left, right = term(f.left, scope), term(f.right, scope)
+
+            def eq():
+                a = left()
+                if a is None:
+                    return None
+                b = right()
+                return None if b is None else a == b
+            return eq
+        if isinstance(f, Verum):
+            return lambda: True
+        if isinstance(f, Falsum):
+            return lambda: False
+        if isinstance(f, Not):
+            body = formula(f.body, scope, depth)
+
+            def neg():
+                got = body()
+                return None if got is None else not got
+            return neg
+        if isinstance(f, (And, Or, Implies)):
+            left = formula(f.left, scope, depth)
+            right = formula(f.right, scope, depth)
+            # the left side at `stop` makes the value `stopped`; the right
+            # side at `wins` makes it `wins`; otherwise two known sides
+            # give `both`
+            stop, stopped, wins, both = {And: (False, False, False, True),
+                                         Or: (True, True, True, False),
+                                         Implies: (False, True, True, False)}[type(f)]
+
+            def connective():
+                a = left()
+                if a is stop:
+                    return stopped
+                b = right()
+                if b is wins:
+                    return wins
+                return None if a is None or b is None else both
+            return connective
+        if isinstance(f, (ForAll, Exists)):
+            # one slot per quantifier depth: a re-bound name gets a fresh
+            # slot, and the outer binding's slot is left untouched
+            slot = depth
+            if len(env) <= slot:
+                env.append(0)
+            body = formula(f.body, {**scope, f.var: slot}, depth + 1)
+            want = isinstance(f, Exists)
+            universe = range(k)
+
+            def quantifier():
+                unknown = False
+                for a in universe:
+                    env[slot] = a
+                    got = body()
+                    if got is want:
+                        return want
+                    if got is None:
+                        unknown = True
+                return None if unknown else not want
+            return quantifier
+        raise LanguageError(f"not a formula: {f!r}")
+
+    return formula(phi, {}, 0)
+
+
+@st.composite
+def _sentences(draw):
+    """Sentences over c, unary f, binary g and relations P, Q, R of arity 1 to 3.
+
+    Names are drawn from three, so nested quantifiers re-bind and shadow
+    them; arguments are variables or deeper terms in every combination.
+    """
+    def term(depth):
+        if depth and draw(st.booleans()):
+            if draw(st.booleans()):
+                return App("f", (term(depth - 1),))
+            return App("g", (term(depth - 1), term(depth - 1)))
+        return draw(st.sampled_from([Var(v) for v in _VARS] + [App("c")]))
+
+    def formula(depth):
+        kind = draw(st.integers(0, 8 if depth else 2))
+        if kind == 0:
+            name, arity = draw(st.sampled_from([("P", 1), ("Q", 2), ("R", 3)]))
+            return Rel(name, tuple(term(1) for _ in range(arity)))
+        if kind == 1:
+            return Eq(term(1), term(1))
+        if kind == 2:
+            return draw(st.sampled_from([Verum(), Falsum()]))
+        if kind == 3:
+            return Not(formula(depth - 1))
+        if kind in (4, 5, 6):
+            return (And, Or, Implies)[kind - 4](formula(depth - 1), formula(depth - 1))
+        quantifier = ForAll if kind == 7 else Exists
+        return quantifier(draw(st.sampled_from(_VARS)), formula(depth - 1))
+
+    phi = formula(4)
+    for v in sorted(free_variables(phi)):
+        phi = draw(st.sampled_from([ForAll, Exists]))(v, phi)
+    return phi
+
+
+@given(st.lists(_sentences(), min_size=1, max_size=2), st.data())
+def test_compiled_checks_serve_every_size(sentences, data):
+    rels, funs = fragment_symbols(sentences)
+    compile_check, resize, funtabs, reltabs = _compiler(rels, funs)
+    checks = [compile_check(phi) for phi in sentences]
+    for k in (1, 2, 3):
+        resize(k)
+        # every cell unknown, as resizing leaves them; then a random partial
+        # and a random complete filling, written into the tables in place
+        for partial in (None, True, False):
+            if partial is not None:
+                for tabs, arities, value in ((funtabs, funs, st.integers(0, k - 1)),
+                                             (reltabs, rels, st.booleans())):
+                    for name in sorted(arities):
+                        tabs[name][:] = data.draw(st.lists(
+                            st.none() | value if partial else value,
+                            min_size=k ** arities[name], max_size=k ** arities[name]))
+            for phi, check in zip(sentences, checks):
+                want = _compile_at_size(phi, k, funtabs, reltabs)()
+                assert check() is want, (k, phi)
 
 
 # --- the compiled search against a naive enumeration -------------------------
@@ -211,13 +397,16 @@ _VARS = ("x", "y", "z")
 
 @st.composite
 def _tiny_axioms(draw):
-    """Sentences over c, f and one or two relations of arity at most 2."""
+    """Sentences over c, unary f, binary g and one or two relations of arity at most 2."""
     arity = {name: draw(st.integers(0, 2))
              for name in draw(st.sampled_from([("P",), ("P", "Q")]))}
 
     def term(depth):
-        if depth and draw(st.booleans()):
+        kind = draw(st.integers(0, 2 if depth else 0))
+        if kind == 1:
             return App("f", (term(depth - 1),))
+        if kind == 2:
+            return App("g", (term(depth - 1), term(depth - 1)))
         return draw(st.sampled_from([Var(v) for v in _VARS] + [App("c")]))
 
     def formula(depth):
