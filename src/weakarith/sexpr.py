@@ -16,16 +16,18 @@ does nodes, so only memory limits the depth. A form's head selects its entry
 in one table of connectives or opens an application; a symbol policy gives
 names their meaning. Errors come in reading order: an application's head is
 checked when read (for a fixed Language, its kind too), its arity at ')'.
-A run (h (h ... (h base))) of one unary function symbol over a bare base,
-closed right after the base, is read in one step from a per-call table of
-chains, so a numeral costs no stack entry per S.
+The reader keeps a cursor into the text and reads one token at a time
+there, so each token's offset is known where it is read. A run
+(h (h ... (h base))) of one unary function symbol over a bare base, closed
+right after the base, is read with one match from the head's offset and
+its node taken from a per-call table of chains, so a numeral costs neither
+a token nor a stack entry per S.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice
-from operator import attrgetter, sub
+from operator import attrgetter
 
 from .errors import FormatError
 from .syntax import (App, Eq, Exists, FALSE, ForAll, Formula, KIND_FUNCTION,
@@ -39,20 +41,6 @@ class ParseError(FormatError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-
-
-# one chunk per token: the separators before it, then a parenthesis or a
-# maximal run of name characters; the chunks tile the text up to any
-# trailing separators
-_CHUNK = re.compile(f"[{SEPARATORS}]*(?:[()]|[^(){SEPARATORS}]+)")
-
-
-def _tokenize(text: str) -> tuple[list[str], list[int]]:
-    """The token texts and, in a parallel list, their start offsets."""
-    chunks = _CHUNK.findall(text)
-    tokens = [c.lstrip(SEPARATORS) for c in chunks]
-    starts = list(map(sub, accumulate(map(len, chunks)), map(len, tokens)))
-    return tokens, starts
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -159,107 +147,148 @@ _TRUTH = {"true": TRUE, "false": FALSE}
 _RELATION = (Rel, KIND_RELATION, "expected a connective or relation symbol")
 _FUNCTION = (App, KIND_FUNCTION, "expected a function symbol")
 
+# one token: the separators before it, then (group 1) a parenthesis or a
+# maximal run of name characters; the matches tile the text up to any
+# trailing separators
+_TOKEN = re.compile(f"[{SEPARATORS}]*([()]|[^(){SEPARATORS}]+)")
+
+# matched at a head h: h (group 1), each further '(h' of its run, then a
+# bare base (group 2) and the run of ')' after it. A name must end at a
+# separator, a parenthesis or the end, so h never matches a prefix of a
+# longer name. Every part after h may be empty, so the match always
+# succeeds and never backtracks into h. The first alternative is the
+# printer's '(h' after one space.
+_SEP = f"[{SEPARATORS}]"
+_ENDS = f"(?![^(){SEPARATORS}])"
+_NAME = f"[^(){SEPARATORS}]+{_ENDS}"
+_CHAIN = re.compile(rf"({_NAME})(?: \(\1{_ENDS}|{_SEP}*\({_SEP}*\1{_ENDS})*"
+                    rf"{_SEP}*(?:({_NAME})\)*(?:{_SEP}+\)+)*)?")
+
 
 def _read(text: str, want: str, policy):
     """The one node of kind want that text holds, read under policy."""
-    tokens, starts = _tokenize(text)
-    end = len(tokens)
-    starts.append(starts[-1] + len(tokens[-1]) if tokens else 0)  # just past the last token
 
-    def fail(message: str, at: int) -> ParseError:
-        return ParseError(message, *_position(text, starts[at]))
+    def fail(message: str, at) -> ParseError:
+        """A ParseError at a token, a match of _TOKEN, or at an offset."""
+        offset = at if type(at) is int else at.start(1)
+        return ParseError(message, *_position(text, offset))
+
+    def ended() -> ParseError:
+        return fail("unexpected end of input", len(text.rstrip(SEPARATORS)))
 
     # the policy's answer for each head, per symbol kind
     answers: dict[str, dict] = {KIND_RELATION: {}, KIND_FUNCTION: {}}
     # (head, base) -> [base, (head base), (head (head base)), ...]
     chains: dict[tuple, list] = {}
-    plain_until = 0  # a head before this index lies in a run that did not read as a chain
-    # an open form: [constructor, child kinds, children, index of its head],
-    # an application: [constructor, None, children, index, kind, head, answer]
+    plain_until = 0  # a head before this offset lies in a run that did not read as a chain
+    # an open form: [constructor, child kinds, children, its head's token],
+    # an application: [constructor, None, children, head's token, kind, head, answer]
     stack: list[list] = []
     push, pop = stack.append, stack.pop
     kind = want
-    indexed = enumerate(tokens)
+    tokens = _TOKEN.finditer(text)
     try:
-        for at, tok in indexed:
-            node = None
-            if kind is _CLOSE or kind is _ARGUMENT and tok == ")":
-                if tok != ")":
-                    raise fail(f"expected ')', found {tok!r}", at)
-                form = pop()
-                ctor, kinds, children = form[0], form[1], form[2]
-                if kinds is None:
-                    at = form[3]
-                    if len(children) != form[6]:
-                        policy.close(form[4], form[5], form[6], len(children))
-                    node = ctor(form[5], tuple(children))
+        while True:
+            resume = 0  # where the tokens go on after a chain
+            for at in tokens:
+                tok = at[1]
+                node = None
+                if kind is _CLOSE or kind is _ARGUMENT and tok == ")":
+                    if tok != ")":
+                        raise fail(f"expected ')', found {tok!r}", at)
+                    form = pop()
+                    ctor, kinds, children = form[0], form[1], form[2]
+                    if kinds is None:
+                        at = form[3]
+                        if len(children) != form[6]:
+                            policy.close(form[4], form[5], form[6], len(children))
+                        node = ctor(form[5], tuple(children))
+                    else:
+                        node = ctor(*children)
+                elif kind is _VARIABLE:
+                    node = policy.variable(tok)
+                elif tok == "(":
+                    at = next(tokens, None)
+                    if at is None:  # the text ends at '('
+                        raise ended()
+                    head = at[1]
+                    if kind is _FORMULA and head in _CONNECTIVES:
+                        push([*_CONNECTIVES[head], [], at])
+                    else:
+                        ctor, symbol_kind, paren = _RELATION if kind is _FORMULA else _FUNCTION
+                        if head == "(" or head == ")":
+                            raise fail(paren, at)
+                        known = answers[symbol_kind]
+                        answer = known.get(head, known)  # the table itself marks "not yet asked"
+                        if answer is known:
+                            answer = known[head] = policy.head(symbol_kind, head)
+                        # a run (head (head ... base)) of a unary head, or of one whose
+                        # arity the policy learns from use, reads in one match when each
+                        # of its depth levels is closed by the ')' right after the bare base
+                        if ((answer == 1 or answer is None) and ctor is App
+                                and (start := at.start(1)) >= plain_until):
+                            run = _CHAIN.match(text, start)
+                            base = run[2]
+                            if base is None:  # the run goes on with a parenthesis
+                                plain_until = run.end()
+                            else:
+                                inner, after = run.span(2)
+                                depth = text.count("(", start, inner) + 1
+                                closing = text.count(")", after, run.end())
+                                if closing < depth:
+                                    plain_until = inner
+                                else:
+                                    at = inner
+                                    if base in RESERVED:
+                                        raise fail(f"reserved word {base!r} in term position", at)
+                                    base = policy.term(base)
+                                    if answer is None:  # at the innermost head, closed first
+                                        at = _TOKEN.match(text, text.rfind("(", 0, inner) + 1)
+                                        policy.close(symbol_kind, head, answer, 1)
+                                    chain = chains.get((head, base))
+                                    if chain is None:
+                                        chain = chains[head, base] = [base]
+                                    while len(chain) <= depth:
+                                        chain.append(App(head, (chain[-1],)))
+                                    node = chain[depth]
+                                    if depth == 1:  # cheaper than a new cursor: skip base and ')'
+                                        next(tokens)
+                                        next(tokens)
+                                    else:  # go on just past the depth-th ')'
+                                        resume = run.end()
+                                        for _ in range(closing - depth):
+                                            resume = text.rfind(")", after, resume)
+                                        tokens = _TOKEN.finditer(text, resume)
+                        if node is None:
+                            push([ctor, None, [], at, symbol_kind, head, answer])
+                elif tok == ")":
+                    raise fail("unexpected ')'", at)
+                elif kind is not _FORMULA:
+                    if tok in RESERVED:
+                        raise fail(f"reserved word {tok!r} in term position", at)
+                    node = policy.term(tok)
+                elif tok in _TRUTH:
+                    node = _TRUTH[tok]
                 else:
-                    node = ctor(*children)
-            elif kind is _VARIABLE:
-                node = policy.variable(tok)
-            elif tok == "(":
-                at, head = next(indexed, (None, None))
-                if head is None:  # the text ends at '('
-                    break
-                if kind is _FORMULA and head in _CONNECTIVES:
-                    push([*_CONNECTIVES[head], [], at])
-                else:
-                    ctor, symbol_kind, paren = _RELATION if kind is _FORMULA else _FUNCTION
-                    if head == "(" or head == ")":
-                        raise fail(paren, at)
-                    known = answers[symbol_kind]
-                    answer = known.get(head, known)  # the table itself marks "not yet asked"
-                    if answer is known:
-                        answer = known[head] = policy.head(symbol_kind, head)
-                    if answer == 1 and ctor is App and at >= plain_until:
-                        # a run (head (head ... base)) of depth levels, each closed
-                        # by the ')' right after the bare base, reads in one step
-                        j = at + 1
-                        while j + 1 < end and tokens[j] == "(" and tokens[j + 1] == head:
-                            j += 2
-                        depth = (j - at + 1) // 2
-                        if (j < end and tokens[j] != "(" and tokens[j] != ")"
-                                and tokens[j + 1:j + 1 + depth].count(")") == depth):
-                            skip, at, base = j + depth - at, j, tokens[j]
-                            if base in RESERVED:
-                                raise fail(f"reserved word {base!r} in term position", at)
-                            base = policy.term(base)
-                            chain = chains.get((head, base))
-                            if chain is None:
-                                chain = chains[head, base] = [base]
-                            while len(chain) <= depth:
-                                chain.append(App(head, (chain[-1],)))
-                            node = chain[depth]
-                            next(islice(indexed, skip - 1, None))  # past the last ')'
-                        else:
-                            plain_until = j
-                    if node is None:
-                        push([ctor, None, [], at, symbol_kind, head, answer])
-            elif tok == ")":
-                raise fail("unexpected ')'", at)
-            elif kind is not _FORMULA:
-                if tok in RESERVED:
-                    raise fail(f"reserved word {tok!r} in term position", at)
-                node = policy.term(tok)
-            elif tok in _TRUTH:
-                node = _TRUTH[tok]
-            else:
-                node = policy.atom(tok)
+                    node = policy.atom(tok)
 
-            # hand a complete node to the innermost open form, or return it
-            if node is not None:
-                if not stack:
-                    trailing = next(indexed, None)
-                    if trailing is not None:
-                        raise fail(f"trailing input {trailing[1]!r}", trailing[0])
-                    return node
-                stack[-1][2].append(node)
-            kinds, count = stack[-1][1], len(stack[-1][2])
-            if kinds is None:
-                kind = _ARGUMENT
+                # hand a complete node to the innermost open form, or return it
+                if node is not None:
+                    if not stack:
+                        trailing = next(tokens, None)
+                        if trailing is not None:
+                            raise fail(f"trailing input {trailing[1]!r}", trailing)
+                        return node
+                    stack[-1][2].append(node)
+                kinds, count = stack[-1][1], len(stack[-1][2])
+                if kinds is None:
+                    kind = _ARGUMENT
+                else:
+                    kind = kinds[count] if count < len(kinds) else _CLOSE
+                if resume:  # a chain was read: go on at the cursor past it
+                    break
             else:
-                kind = kinds[count] if count < len(kinds) else _CLOSE
-        raise fail("unexpected end of input", len(tokens))
+                raise ended()
     except LanguageError as exc:
         raise fail(str(exc), at) from None
 

@@ -2,22 +2,42 @@
 
 The parser copies below are the reader as it was before the explicit-stack
 loop: a recursive-descent reader over the token list for parse_formula and
-parse_term, and a second recursive scanner for infer_language. On well-formed
+parse_term, and a second recursive scanner for infer_language. They read
+the token list of the tokenizer the reader had before it read tokens at a
+text cursor, copied here too. On well-formed
 texts and on token soup both must give the identical node, an equal Language,
 or the same error with the same message.
 """
 
+import re
+from itertools import accumulate
+from operator import sub
+
 from hypothesis import example, given, settings, strategies as st
 
-from weakarith.sexpr import (ParseError, _position, _tokenize, infer_language,
-                             parse_formula, parse_term)
+from weakarith.sexpr import (ParseError, _position, infer_language, parse_formula,
+                             parse_term)
 from weakarith.syntax import (App, Eq, Exists, FALSE, ForAll, Formula, KIND_FUNCTION,
                               KIND_RELATION, Language, LanguageError, Not, Rel, RESERVED,
-                              Symbol, SymbolFamily, Term, TRUE, Var, And, Or, Implies,
-                              note_arity)
+                              SEPARATORS as SEPARATOR_CHARS, Symbol, SymbolFamily, Term, TRUE,
+                              Var, And, Or, Implies, note_arity)
 
 
 # --- the readers as they were ---------------------------------------------------
+
+# one chunk per token: the separators before it, then a parenthesis or a
+# maximal run of name characters; the chunks tile the text up to any
+# trailing separators
+_CHUNK = re.compile(f"[{SEPARATOR_CHARS}]*(?:[()]|[^(){SEPARATOR_CHARS}]+)")
+
+
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The token texts and, in a parallel list, their start offsets."""
+    chunks = _CHUNK.findall(text)
+    tokens = [c.lstrip(SEPARATOR_CHARS) for c in chunks]
+    starts = list(map(sub, accumulate(map(len, chunks)), map(len, tokens)))
+    return tokens, starts
+
 
 class _OldReader:
     """Single-pass recursive-descent reader over the token stream."""
@@ -371,7 +391,7 @@ def test_reader_matches_the_recursive_readers(text, other):
 CHAIN_LANG = Language(
     [*LANG.symbols(), Symbol("g", KIND_FUNCTION, 1)],
     [*LANG.families(), SymbolFamily("f", KIND_FUNCTION, 1)])
-CHAIN_HEADS = ["S", "g", "f#1", "f#2"]
+CHAIN_HEADS = ["S", "g", "f#1", "f#2", "f#12"]
 CHAIN_BASES = [["x"], ["y#3"], ["0"], ["c"], ["k#2"], ["(", "+", "x", "0", ")"],
                ["(", "S", "c", ")"], ["not"], ["forall"], ["="], ["E"], ["r#1"],
                ["S"], ["g"], ["f#3"], ["q#1"], ["("], [")"], []]
@@ -426,6 +446,16 @@ def _chain_text(draw):
 @example("(= (S (S x)) (S (S x)))")        # the same chain twice in one text
 @example("(+ (S (S 0)) (S (S (S 0))))")    # a longer chain after a shorter one
 @example("(S\n(S\t( S\r\n0 ) )\n)")
+@example("(f#1)")                          # no base: f#1 is one name, not head f# and base 1
+@example("(f#1 (f#1 0))")
+@example("(f#1 (f#12 0))")                 # f#12 is another head, not f#1 and more
+@example("(S(S(S 0)))")                    # no separators before the heads
+@example("(S (SS 0))")                     # SS is another head
+@example("(S (SS))")
+@example("(S (S 0)\n)\n)")                 # separators inside the closing run
+@example("(S (S x) y)")
+@example("(E (S 0 0) (S 0))")              # inferred arities clash at the innermost head
+@example("(E (S 0 0) (S\n (S 0)))")
 def test_reader_matches_the_recursive_readers_on_unary_chains(text):
     for read, old_read in ((parse_formula, old_parse_formula), (parse_term, old_parse_term)):
         new, old = _outcome(read, text, CHAIN_LANG), _outcome(old_read, text, CHAIN_LANG)

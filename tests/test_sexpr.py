@@ -170,11 +170,11 @@ def _old_tokenize(text):
 
 @given(st.text(alphabet="() \t\r\n\f#abxyz0Sé", max_size=80))
 def test_tokenizer_matches_the_old_one(text):
-    from weakarith.sexpr import _position, _tokenize
+    # the reader's token pattern, matched from its cursor, and the offset of each token
+    from weakarith.sexpr import _TOKEN, _position
 
-    tokens, starts = _tokenize(text)
-    assert list(zip(tokens, [_position(text, o) for o in starts])) == [
-        (t, (line, col)) for t, line, col in _old_tokenize(text)]
+    tokens = [(m[1], _position(text, m.start(1))) for m in _TOKEN.finditer(text)]
+    assert tokens == [(t, (line, col)) for t, line, col in _old_tokenize(text)]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -226,20 +226,34 @@ def test_inferred_language_error_messages_are_pinned(texts, message):
 
 # --- depth ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("build", [
-    "Eq(numeral(50000), Var('x'))",
-    "functools.reduce(lambda phi, _: Not(phi), range(30000), TRUE)",
+ROUND_TRIP = "assert parse_formula(print_formula(phi), get_language('Q')) is phi"
+
+
+@pytest.mark.parametrize("build, check", [
+    pytest.param(build, ROUND_TRIP, id=build) for build in (
+        "Eq(numeral(50000), Var('x'))",
+        "functools.reduce(lambda phi, _: Not(phi), range(30000), TRUE)",
+    )
+] + [
+    pytest.param("Eq(numeral(50000), Var('x'))",
+                 "assert infer_language([print_formula(phi)]).lookup('S').arity == 1",
+                 id="infer_language on a deep numeral"),
+    # a run that is no chain: read once, not again from each of its heads, which
+    # takes minutes at this depth
+    pytest.param("Eq(functools.reduce(lambda t, _: App('S', (t,)), range(50000),"
+                 " App('+', (Var('x'), App('0')))), Var('x'))",
+                 ROUND_TRIP, id="a deep S run over a compound base"),
 ])
-def test_deep_formulas_round_trip_at_the_default_recursion_limit(build):
+def test_deep_formulas_round_trip_at_the_default_recursion_limit(build, check):
     from fresh import run_python
 
     got = run_python("-c", (
         "import functools\n"
-        "from weakarith.sexpr import parse_formula, print_formula\n"
-        "from weakarith.syntax import Eq, Not, TRUE, Var\n"
+        "from weakarith.sexpr import infer_language, parse_formula, print_formula\n"
+        "from weakarith.syntax import App, Eq, Not, TRUE, Var\n"
         "from weakarith.theories import get_language, numeral\n"
         f"phi = {build}\n"
-        "assert parse_formula(print_formula(phi), get_language('Q')) is phi\n"))
+        f"{check}\n"), timeout=30)
     assert got.returncode == 0, got.stderr
 
 
