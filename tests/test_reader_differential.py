@@ -2,11 +2,11 @@
 
 The parser copies below are the reader as it was before the explicit-stack
 loop: a recursive-descent reader over the token list for parse_formula and
-parse_term, and a second recursive scanner for infer_language. They read
+parse_term, and a second recursive scanner for infer_language. Both read
 the token list of the tokenizer the reader had before it read tokens at a
-text cursor, copied here too. On well-formed
-texts and on token soup both must give the identical node, an equal Language,
-or the same error with the same message.
+text cursor, copied here too. On well-formed texts and on token soup both
+must give the identical node, an equal Language, or the same error with
+the same message.
 """
 
 import re
