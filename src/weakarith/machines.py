@@ -159,24 +159,20 @@ def decode_program(code: int) -> Program:
 
 
 def parse_program(text: str) -> Program:
-    """One instruction per line; blank lines skipped."""
+    """One instruction per line, its operands naturals; blank lines skipped."""
     instrs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
-        kind = parts[0]
         try:
-            if kind == HALT and len(parts) == 1:
-                instrs.append(HALT_INSTR)
-            elif kind == INC and len(parts) == 2:
-                instrs.append(inc(int(parts[1])))
-            elif kind == DECJZ and len(parts) == 3:
-                instrs.append(decjz(int(parts[1]), int(parts[2])))
-            else:
+            operands = [int(x) for x in parts[1:]]
+            if {HALT: 0, INC: 1, DECJZ: 2}.get(parts[0]) != len(operands) \
+                    or min(operands, default=0) < 0:
                 raise ValueError
         except ValueError:
             raise FormatError(f"line {lineno}: bad instruction {raw.strip()!r}") from None
+        instrs.append((parts[0], *operands))
     return Program(tuple(instrs))
 
 
@@ -302,8 +298,11 @@ def parse_pair_spec(text: str) -> OraclePair:
     groups = re.findall(r"([A-Za-z_]\w*)=\{([0-9,\s]*)\}", parts[1])
     if len(groups) != 2:
         raise FormatError(f"pair spec needs exactly two NAME={{...}} groups: {text!r}")
-    return OraclePair(*([int(p) for p in body.split(",") if p.strip()]
-                        for _, body in groups))
+    sides = [[p.strip() for p in body.split(",") if p.strip()] for _, body in groups]
+    for p in sides[0] + sides[1]:
+        if not p.isdigit():  # the pattern lets spaces in: '1 2'
+            raise FormatError(f"bad element {p!r} in pair spec {text!r}")
+    return OraclePair(*([int(p) for p in side] for side in sides))
 
 
 def load_pair_spec(spec: str) -> OraclePair:

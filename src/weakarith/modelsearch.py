@@ -13,12 +13,13 @@ that this constant is 0.
 
 Pruning uses Kleene's three-valued logic over the partial tables: an
 unfilled cell reads None, and a formula is True or False only when every
-way of filling its unknown cells agrees.  Each search compiles every axiom
-once into nested closures that read the flat tables in place; between
-sizes the tables are resized in place and the size the closures read is
-rebound, so the same closures serve every size.  Bound variables live in
-a slot list indexed by quantifier depth, and a variable argument is read
-from its slot inside the lookup or equality that uses it.  Each
+way of filling its unknown cells agrees.  Each search compiles every
+axiom once into nested closures that read the flat tables in place;
+between sizes the tables are resized in place and the size the closures
+read is rebound, so the same closures serve every size, and compiling,
+the only walk over an axiom, also learns the signature.  Bound variables
+live in a slot list indexed by quantifier depth, and a variable argument
+is read from its slot inside the lookup or equality that uses it.  Each
 search node inherits the statuses its parent computed and re-evaluates
 only the axioms still unknown that mention the symbol of the cell just
 filled; an axiom's value depends on its own symbols' cells alone.  An
@@ -46,32 +47,8 @@ from .syntax import (
     Rel,
     Var,
     Verum,
-    free_variables,
     note_arity,
-    symbols_of,
 )
-
-
-def _symbol_tables(axioms):
-    """Merged (relation, function) arities, and per symbol the axioms reading it."""
-    rels: dict[str, int] = {}
-    funs: dict[str, int] = {}
-    readers: dict[str, set[int]] = {}
-    for j, phi in enumerate(axioms):
-        for table, found in zip((rels, funs), symbols_of(phi)):
-            for name, arity in found.items():
-                note_arity(table, name, arity)
-                readers.setdefault(name, set()).add(j)
-    shared = rels.keys() & funs.keys()
-    if shared:
-        raise LanguageError(f"symbols used both ways: {sorted(shared)}")
-    return rels, funs, readers
-
-
-def fragment_symbols(axioms) -> tuple[dict[str, int], dict[str, int]]:
-    """Occurring (relation, function) arities across a list of sentences."""
-    rels, funs, _ = _symbol_tables(axioms)
-    return rels, funs
 
 
 def closed_form_count(rels: dict[str, int], funs: dict[str, int], k: int) -> int:
@@ -105,17 +82,21 @@ _KLEENE = {And: (False, False, False, True),
            Implies: (False, True, True, False)}
 
 
-def _compiler(rels: dict[str, int], funs: dict[str, int]):
-    """One search's compiler: `(compile_check, resize, funtabs, reltabs)`.
+def _compiler():
+    """One search's compiler: `(compile_check, signature, resize, funtabs, reltabs)`.
 
-    `compile_check(phi)` turns a sentence over these symbols into a
-    no-argument closure giving its Kleene value (None = unknown) on the
-    tables `funtabs` and `reltabs`.  `resize(k)` makes every table k**arity
-    unknown cells in place and sets the size every closure reads, so one
-    compiled check serves every size.
+    `compile_check(phi)` turns a sentence into a no-argument closure giving
+    its Kleene value (None = unknown) on the tables `funtabs` and `reltabs`,
+    and notes each symbol's arity: it is the only walk over phi.  Once every
+    axiom is compiled, `signature()` gives `(rels, funs, readers)` or raises
+    an arity clash.  `resize(k)` makes every table k**arity unknown cells in
+    place and sets the size every closure reads: one check for every size.
     """
-    funtabs: dict[str, list] = {name: [] for name in funs}
-    reltabs: dict[str, list] = {name: [] for name in rels}
+    funtabs: dict[str, list] = {}
+    reltabs: dict[str, list] = {}
+    # per compiled axiom, its symbol uses (0 relation or 1 function, name, arity)
+    used: list[list[tuple[int, str, int]]] = []
+    merged: tuple[dict[str, int], dict[str, int]] = ({}, {})  # (rels, funs)
     # one slot list for every sentence compiled here: checks run one at a
     # time and never interleave, and a quantifier sets its slot before its
     # body reads it
@@ -123,18 +104,37 @@ def _compiler(rels: dict[str, int], funs: dict[str, int]):
     k = 0
     universe = range(0)
 
+    def signature():
+        readers: dict[str, set[int]] = {}
+        for j, uses in enumerate(used):
+            own: tuple[dict[str, int], dict[str, int]] = ({}, {})
+            for side, name, arity in uses:
+                note_arity(own[side], name, arity)  # the axiom's own clash first
+            for into, found in zip(merged, own):
+                for name, arity in found.items():
+                    note_arity(into, name, arity)
+                    readers.setdefault(name, set()).add(j)
+        rels, funs = merged
+        if shared := rels.keys() & funs.keys():
+            raise LanguageError(f"symbols used both ways: {sorted(shared)}")
+        return rels, funs, readers
+
     def resize(size: int) -> None:
         nonlocal k, universe
         k, universe = size, range(size)
-        for tabs, arities in ((funtabs, funs), (reltabs, rels)):
+        for tabs, arities in zip((reltabs, funtabs), merged):
             for name, a in arities.items():
                 tabs[name][:] = [None] * size ** a
+
+    def table(tabs, side, node):
+        used[-1].append((side, node.name, len(node.args)))
+        return tabs.setdefault(node.name, [])
 
     def term(t, scope):
         if type(t) is Var:
             slot = scope[t.name]
             return lambda: env[slot]
-        return entry(funtabs[t.name], t.args, scope)
+        return entry(table(funtabs, 1, t), t.args, scope)
 
     def entry(tab, args, scope):
         # the table cell at the arguments' row-major index; a variable
@@ -197,7 +197,7 @@ def _compiler(rels: dict[str, int], funs: dict[str, int]):
     def formula(f, scope, depth):
         cls = type(f)
         if cls is Rel:
-            return entry(reltabs[f.name], f.args, scope)
+            return entry(table(reltabs, 0, f), f.args, scope)
         if cls is Eq:
             x, y = f.left, f.right
             if type(x) is Var:
@@ -271,9 +271,14 @@ def _compiler(rels: dict[str, int], funs: dict[str, int]):
         raise LanguageError(f"not a formula: {f!r}")
 
     def compile_check(phi):
-        return formula(phi, {}, 0)
+        used.append([])
+        try:
+            return formula(phi, {}, 0)
+        except KeyError:
+            # only a slot lookup can miss: a variable that nothing binds
+            raise LanguageError("model search expects sentences") from None
 
-    return compile_check, resize, funtabs, reltabs
+    return compile_check, signature, resize, funtabs, reltabs
 
 
 def _unfold(idx: int, arity: int, k: int) -> tuple[int, ...]:
@@ -367,13 +372,9 @@ def model_search(axioms, max_size: int,
     constant's cell has the value set {0}, so the counter counts that
     restricted space: a k-th of the structures of size k.
     """
-    axioms = list(axioms)
-    for phi in axioms:
-        if free_variables(phi):
-            raise LanguageError("model search expects sentences")
-    rels, funs, readers = _symbol_tables(axioms)
-    compile_check, resize, funtabs, reltabs = _compiler(rels, funs)
+    compile_check, signature, resize, funtabs, reltabs = _compiler()
     checks = [compile_check(ax) for ax in axioms]
+    rels, funs, readers = signature()
     reports = []
     witness = None
     for k in range(1, max_size + 1):

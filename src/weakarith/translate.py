@@ -16,7 +16,6 @@ from itertools import product as iterproduct
 from typing import Mapping
 
 from .errors import FormatError, WorkbenchError
-from .modelsearch import fragment_symbols
 from .sexpr import parse_formula
 from .structures import FiniteStructure, eval_formula
 from .syntax import (
@@ -43,6 +42,7 @@ from .syntax import (
     and_all,
     free_variables,
     substitute_many,
+    symbols_of,
     validate_formula,
 )
 from .theories import CATALOG, LANG_ORDERED_ARITH, get_language
@@ -241,7 +241,7 @@ def obligations(translation: Translation, theory, first_k: int) -> list[Formula]
     Each group is deterministically ordered and deduplicated.
     """
     axioms = [theory.axiom_of(i) for i in range(first_k)]
-    used_rels, used_funs = fragment_symbols(axioms)
+    used_rels, used_funs = symbols_of(and_all(axioms))
 
     out: list[Formula] = []
     for name in sorted(used_funs, key=lambda n: (used_funs[n], n)):

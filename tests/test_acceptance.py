@@ -18,7 +18,7 @@ from weakarith.eqdecide import decide, eval_on_blocks, profile_of, rank
 from weakarith.experiments import independence_search, predicate_atom, table_decider
 from weakarith.godel import godel_decode, godel_encode
 from weakarith.machines import canonical_pair, parse_pair_spec
-from weakarith.modelsearch import closed_form_count, fragment_symbols, model_search
+from weakarith.modelsearch import closed_form_count, model_search
 from weakarith.proofs import (
     InvalidStepError,
     LogicalAxiom,
@@ -49,6 +49,7 @@ from weakarith.syntax import (
     Var,
     and_all,
     free_variables,
+    symbols_of,
 )
 from weakarith.theories import get_theory, scheme_instance, size_exists
 from weakarith.translate import TargetTemplate, Translation, internal_structure, translate_formula
@@ -152,7 +153,7 @@ def test_02_exhaustive_absence_with_matching_counter():
     axioms = [theory.axiom_of(i) for i in range(7)]
     outcome = model_search(axioms, 3)
     assert outcome.witness is None
-    rels, funs = fragment_symbols(axioms)
+    rels, funs = symbols_of(and_all(axioms))
     assert [r.size for r in outcome.reports] == [1, 2, 3]
     for report in outcome.reports:
         expected = closed_form_count(rels, funs, report.size)

@@ -189,6 +189,31 @@ def test_run_machine_by_code(capsys):
     assert capsys.readouterr().out == "did not halt within 50 steps\n"
 
 
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("line", ["inc -3", "decjz 0 -5", "decjz -1 0"])
+def test_run_machine_refuses_negative_numbers(tmp_path, capsys, line):
+    program = tmp_path / "negative.prog"
+    program.write_text(f"inc 0\n{line}\nhalt\n")
+    assert main(["run-machine", "--program", str(program), "--steps", "10"]) == 2
+    assert _one_error_line(capsys) == f"error: line 2: bad instruction {line!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate-pair", "--pair", "finite B={1 2} C={}"],
+    ["axioms", "U:finite B={1 2} C={}"],
+])
+def test_pair_spec_with_a_spaced_element_is_an_error_line(capsys, argv):
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == \
+        "error: bad element '1 2' in pair spec 'finite B={1 2} C={}'\n"
+
+
 def test_check_proof_valid_and_invalid(tmp_path, capsys):
     good = tmp_path / "p1.prf"
     good.write_text("# one axiom citation\nax R 7\n")

@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from weakarith.errors import FormatError
 from weakarith.machines import (
     MachineRun,
     Program,
@@ -73,6 +74,24 @@ def test_parse_program_rejects_junk():
     for bad in ["inc\n", "dec 0\n", "decjz 1\n", "inc x\n"]:
         with pytest.raises(FormatError):
             parse_program(bad)
+
+
+@pytest.mark.parametrize("line", ["inc -3", "decjz 0 -5", "decjz -1 0"])
+def test_parse_program_rejects_negative_numbers(line):
+    # a negative target used to index from the end of the program, and a
+    # negative register read the last register
+    with pytest.raises(FormatError) as err:
+        parse_program(f"inc 0\n{line}\nhalt\n")
+    assert str(err.value) == f"line 2: bad instruction {line!r}"
+
+
+def test_pair_spec_names_an_element_that_is_not_a_number():
+    with pytest.raises(FormatError) as err:
+        parse_pair_spec("finite B={1 2} C={}")
+    assert str(err.value) == "bad element '1 2' in pair spec 'finite B={1 2} C={}'"
+    # empty and padded elements are skipped or trimmed, as before
+    pair = parse_pair_spec("finite B={1,,2} C={ 3 ,}")
+    assert pair.left.at(0) == {1, 2} and pair.right.at(0) == {3}
 
 
 def test_finite_stage_set_ignores_stage():

@@ -10,7 +10,6 @@ from weakarith.modelsearch import (
     _compiler,
     closed_form_count,
     find_model,
-    fragment_symbols,
     model_search,
 )
 from weakarith.sexpr import infer_language, parse_formula
@@ -29,7 +28,9 @@ from weakarith.syntax import (
     Rel,
     Var,
     Verum,
+    and_all,
     free_variables,
+    symbols_of,
 )
 from weakarith.theories import get_language
 
@@ -47,14 +48,29 @@ def test_closed_form_count():
     assert closed_form_count({}, {"c": 0}, 3) == 3
 
 
-def test_fragment_symbols_collects_and_checks():
-    axs = _eq("(forall x (E x x))", "(exists x (exists y (not (E x y))))")
-    rels, funs = fragment_symbols(axs)
-    assert rels == {"E": 2} and funs == {}
-    unary_e = parse_formula("(forall x (E x))",
-                            infer_language(["(forall x (E x))"]))
-    with pytest.raises(LanguageError):
-        fragment_symbols(_eq("(forall x (E x x))") + [unary_e])
+def test_model_search_pins_signature_errors():
+    c = App("c")
+    p1, p2 = Rel("P", (c,)), Rel("P", (c, c))
+    q1, q2 = Rel("Q", (c,)), Rel("Q", (c, c))
+    cases = [
+        # a clash within one axiom
+        ([ForAll("x", And(q2, q1))], "symbol 'Q' used at arities 2 and 1"),
+        # a clash with an earlier axiom
+        ([p1, And(q1, p2)], "symbol 'P' used at arities 1 and 2"),
+        # an axiom's own clash comes before its clash with an earlier axiom
+        ([p1, And(p2, And(q1, q2))], "symbol 'Q' used at arities 1 and 2"),
+        # relations before functions
+        ([And(p1, Eq(App("f", (c,)), c)), And(Eq(App("f", (c, c)), c), p2)],
+         "symbol 'P' used at arities 1 and 2"),
+        ([p1, Exists("x", Eq(App("P", (Var("x"),)), Var("x")))],
+         "symbols used both ways: ['P']"),
+        # a free variable in a later axiom that also has a clash
+        ([p1, And(p2, Rel("Q", (Var("x"),)))], "model search expects sentences"),
+    ]
+    for axioms, message in cases:
+        with pytest.raises(LanguageError) as err:
+            model_search(axioms, 2)
+        assert str(err.value) == message
 
 
 def test_find_model_smallest_witness():
@@ -135,9 +151,9 @@ def _any(values):
 
 def _value(phi, k, funrows, relrows):
     """phi's Kleene value at size k, with the given rows in one search's tables."""
-    rels, funs = fragment_symbols([phi])
-    compile_check, resize, funtabs, reltabs = _compiler(rels, funs)
+    compile_check, signature, resize, funtabs, reltabs = _compiler()
     check = compile_check(phi)
+    signature()
     resize(k)
     for tabs, rows in ((funtabs, funrows), (reltabs, relrows)):
         for name, tab in tabs.items():
@@ -336,9 +352,9 @@ def _sentences(draw):
 
 @given(st.lists(_sentences(), min_size=1, max_size=2), st.data())
 def test_compiled_checks_serve_every_size(sentences, data):
-    rels, funs = fragment_symbols(sentences)
-    compile_check, resize, funtabs, reltabs = _compiler(rels, funs)
+    compile_check, signature, resize, funtabs, reltabs = _compiler()
     checks = [compile_check(phi) for phi in sentences]
+    rels, funs, _ = signature()
     for k in (1, 2, 3):
         resize(k)
         # every cell unknown, as resizing leaves them; then a random partial
@@ -360,7 +376,7 @@ def test_compiled_checks_serve_every_size(sentences, data):
 
 def _naive_search(axioms, max_size, symmetry_breaking=False):
     """Every structure in the documented order, each checked by eval_formula."""
-    rels, funs = fragment_symbols(axioms)
+    rels, funs = symbols_of(and_all(axioms))
     by_arity = lambda kv: (kv[1], kv[0])
     reports = []
     for k in range(1, max_size + 1):
@@ -437,7 +453,7 @@ def _tiny_axioms(draw):
 
 
 def _size_cap(axioms, largest=3, most_structures=4096):
-    rels, funs = fragment_symbols(axioms)
+    rels, funs = symbols_of(and_all(axioms))
     size = 1
     while size < largest and closed_form_count(rels, funs, size + 1) <= most_structures:
         size += 1
