@@ -62,6 +62,7 @@ def test_model_search_pins_signature_errors():
         # relations before functions
         ([And(p1, Eq(App("f", (c,)), c)), And(Eq(App("f", (c, c)), c), p2)],
          "symbol 'P' used at arities 1 and 2"),
+        # a symbol used both ways
         ([p1, Exists("x", Eq(App("P", (Var("x"),)), Var("x")))],
          "symbols used both ways: ['P']"),
         # a free variable in a later axiom that also has a clash
