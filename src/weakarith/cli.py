@@ -13,10 +13,9 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 from .eqdecide import decide, normal_form, rank
-from .errors import FormatError, WorkbenchError
+from .errors import FormatError, WorkbenchError, read_text
 from .experiments import (
     equivalence_decider,
     independence_search,
@@ -44,18 +43,11 @@ DOMAIN_FAIL = 1
 USAGE_FAIL = 2
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
 def _text_arg(args) -> str:
     """The formula text of --file or --text, exactly one of which is given."""
     if (args.file is None) == (args.text is None):
         raise FormatError("give exactly one of --file and --text")
-    return _read(args.file) if args.file is not None else args.text
+    return read_text(args.file) if args.file is not None else args.text
 
 
 def _parse_text(text: str, lang):
@@ -88,7 +80,7 @@ def _do_axioms(args) -> int:
 
 
 def _load_translation(path: str):
-    return parse_translation(_read(path))
+    return parse_translation(read_text(path))
 
 
 def _do_translate(args) -> int:
@@ -114,7 +106,7 @@ def _do_obligations(args) -> int:
 def _do_verify(args) -> int:
     tr = _load_translation(args.translation)
     theory = get_theory(args.theory)
-    structure = parse_structure(_read(args.structure))
+    structure = parse_structure(read_text(args.structure))
     report = verify_semantic(tr, theory, structure, args.first_k)
     failed = {i for i, _ in report.failures}
     for i in range(report.checked):
@@ -124,7 +116,7 @@ def _do_verify(args) -> int:
 
 
 def _axioms_from_file(path: str, lang_id: str | None):
-    texts = [line for line in _read(path).splitlines()
+    texts = [line for line in read_text(path).splitlines()
              if line.strip() and not line.strip().startswith("#")]
     if not texts:
         raise FormatError(f"{path}: no formulas")
@@ -153,7 +145,7 @@ def _do_find_model(args) -> int:
 
 
 def _decide_sentence(args):
-    return parse_formula(_read(args.sentence), get_language(args.lang or "eq"))
+    return parse_formula(read_text(args.sentence), get_language(args.lang or "eq"))
 
 
 def _render_profile(p) -> str:
@@ -201,7 +193,7 @@ def _do_run_machine(args) -> int:
     if (args.program is None) == (args.code is None):
         raise FormatError("give exactly one of --program and --code")
     if args.program is not None:
-        program = parse_program(_read(args.program))
+        program = parse_program(read_text(args.program))
     else:
         program = decode_program(args.code)
     result = run_bounded(program, args.input, args.steps)
@@ -216,7 +208,7 @@ def _do_run_machine(args) -> int:
 
 def _do_check_proof(args) -> int:
     theory = get_theory(args.theory)
-    proof = parse_proof(_read(args.proof), theory.language)
+    proof = parse_proof(read_text(args.proof), theory.language)
     try:
         conclusion = check_proof(proof, theory)
     except InvalidStepError as exc:
@@ -230,7 +222,7 @@ def _do_check_proof(args) -> int:
 
 def _do_search_proof(args) -> int:
     theory = get_theory(args.theory)
-    goal = parse_formula(_read(args.goal), theory.language)
+    goal = parse_formula(read_text(args.goal), theory.language)
     proof = search_proof(theory, goal, args.budget,
                          numeral_bound=args.numeral_bound)
     if proof is None:
@@ -246,7 +238,7 @@ def _do_godel(args) -> int:
     if (args.encode is None) == (args.decode is None):
         raise FormatError("give exactly one of --encode and --decode")
     if args.encode is not None:
-        phi = _parse_text(_read(args.encode), args.lang and get_language(args.lang))
+        phi = _parse_text(read_text(args.encode), args.lang and get_language(args.lang))
         code = godel_encode(phi)
         print(code)
         _summary(args, code=code)
@@ -318,6 +310,17 @@ def _do_stress(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+def _natural(text: str) -> int:
+    """argparse type of every count, size, stage, step, input and budget option."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid natural value: {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared thereafter."""
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("axioms", help="print a theory's axioms by index")
     p.add_argument("theory")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_natural, default=10)
     p.add_argument("--start", type=int, default=0)
     p.set_defaults(run=_do_axioms)
 
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a translation's proof obligations")
     p.add_argument("--translation", required=True)
     p.add_argument("--theory", required=True)
-    p.add_argument("--first-k", type=int, default=5)
+    p.add_argument("--first-k", type=_natural, default=5)
     p.set_defaults(run=_do_obligations)
 
     p = verb("verify",
@@ -365,15 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", required=True)
     p.add_argument("--theory", required=True)
     p.add_argument("--structure", required=True)
-    p.add_argument("--first-k", type=int, default=5)
+    p.add_argument("--first-k", type=_natural, default=5)
     p.set_defaults(run=_do_verify)
 
     p = verb("find-model", help="search finite models by size")
     p.add_argument("--axioms", help="file with one sentence per line")
     p.add_argument("--theory", help="theory id (used with --first-k)")
-    p.add_argument("--first-k", type=int, default=5)
+    p.add_argument("--first-k", type=_natural, default=5)
     p.add_argument("--lang")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_natural, required=True)
     p.add_argument("--symmetry-breaking", action="store_true")
     p.set_defaults(run=_do_find_model)
 
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide a one-binary-relation sentence")
     p.add_argument("--sentence", required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--stage", type=int, default=0)
+    p.add_argument("--stage", type=_natural, default=0)
     p.add_argument("--lang")
     p.add_argument("--witness", action="store_true",
                    help="print witnessing profiles")
@@ -397,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("enumerate-pair",
                        help="list both sides of a pair at a stage")
     p.add_argument("--pair", required=True)
-    p.add_argument("--stage", type=int, default=0)
+    p.add_argument("--stage", type=_natural, default=0)
     p.set_defaults(run=_do_enumerate_pair)
 
     p = verb("run-machine", help="run a counter machine")
     p.add_argument("--program", help="program file")
     p.add_argument("--code", type=int, help="program code")
-    p.add_argument("--input", type=int, default=0)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--input", type=_natural, default=0)
+    p.add_argument("--steps", type=_natural, default=1000)
     p.set_defaults(run=_do_run_machine)
 
     p = verb("check-proof", help="validate a proof file")
@@ -415,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("search-proof", help="bounded proof search")
     p.add_argument("--theory", required=True)
     p.add_argument("--goal", required=True, help="file with the goal sentence")
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--numeral-bound", type=int, default=2)
+    p.add_argument("--budget", type=_natural, default=1000)
+    p.add_argument("--numeral-bound", type=_natural, default=2)
     p.set_defaults(run=_do_search_proof)
 
     p = verb("godel", help="encode or decode a formula number")
@@ -430,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--decider", required=True,
                    help="table | equivalence | proof-search")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--stage", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--n-max", type=_natural, required=True)
+    p.add_argument("--stage", type=_natural, default=0)
+    p.add_argument("--budget", type=_natural, default=1000)
     p.add_argument("--theory", help="theory id for the proof-search decider")
     p.set_defaults(run=_do_independence)
 
@@ -441,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True)
     p.add_argument("--decider", required=True)
     p.add_argument("--pair")
-    p.add_argument("--stage", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--sentence-budget", type=int, default=5)
-    p.add_argument("--axiom-scan", type=int, default=200)
+    p.add_argument("--stage", type=_natural, default=0)
+    p.add_argument("--budget", type=_natural, default=1000)
+    p.add_argument("--sentence-budget", type=_natural, default=5)
+    p.add_argument("--axiom-scan", type=_natural, default=200)
     p.set_defaults(run=_do_stress)
 
     return top

@@ -40,10 +40,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
-from .errors import FormatError, WorkbenchError
+from .errors import FormatError, WorkbenchError, read_text
 from .godel import decode_list, encode_list, pair, unpair
 
 INC = "inc"
@@ -309,10 +308,7 @@ def load_pair_spec(spec: str) -> OraclePair:
     """A pair from an inline spec ('canonical', 'finite ...') or a spec file."""
     text = spec.strip()
     if text != "canonical" and "=" not in text:
-        try:
-            text = Path(text).read_text()
-        except OSError as exc:
-            raise FormatError(f"cannot read {text}: {exc}") from exc
+        text = read_text(text)
     return parse_pair_spec(text)
 
 

@@ -197,6 +197,8 @@ def _build_congruence(schema: str, args: tuple, language) -> Formula:
     if len(terms) != 2 * sym.arity:
         raise ValueError(
             f"congruence for {name!r} wants {2 * sym.arity} terms, got {len(terms)}")
+    for term in terms:
+        _argument(schema, "t", term)
     olds = terms[:sym.arity]
     news = terms[sym.arity:]
     if schema == "eq-cong-fun":

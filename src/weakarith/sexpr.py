@@ -18,10 +18,10 @@ names their meaning. Errors come in reading order: an application's head is
 checked when read (for a fixed Language, its kind too), its arity at ')'.
 The reader keeps a cursor into the text and reads one token at a time
 there, so each token's offset is known where it is read. A run
-(h (h ... (h base))) of one unary function symbol over a bare base, closed
-right after the base, is read with one match from the head's offset and
-its node taken from a per-call table of chains, so a numeral costs neither
-a token nor a stack entry per S.
+(h (h ... (h base))) of one function symbol that a fixed Language declares
+unary, over a bare base and closed right after it, is read with one match
+from the head's offset and its node taken from a per-call table of chains,
+so a numeral costs neither a token nor a stack entry per S.
 """
 
 from __future__ import annotations
@@ -222,10 +222,10 @@ def _read(text: str, want: str, policy):
                         answer = known.get(head, known)  # the table itself marks "not yet asked"
                         if answer is known:
                             answer = known[head] = policy.head(symbol_kind, head)
-                        # a run (head (head ... base)) of a unary head, or of one whose
-                        # arity the policy learns from use, reads in one match when each
-                        # of its depth levels is closed by the ')' right after the bare base
-                        if ((answer == 1 or answer is None) and ctor is App
+                        # a run (head (head ... base)) of a head the policy answers unary
+                        # reads in one match when each of its depth levels is closed by
+                        # the ')' right after the bare base
+                        if (answer == 1 and ctor is App
                                 and (start := at.start(1)) >= plain_until):
                             run = _CHAIN.match(text, start)
                             base = run[2]
@@ -242,9 +242,6 @@ def _read(text: str, want: str, policy):
                                     if base in RESERVED:
                                         raise fail(f"reserved word {base!r} in term position", at)
                                     base = policy.term(base)
-                                    if answer is None:  # at the innermost head, closed first
-                                        at = _TOKEN.match(text, text.rfind("(", 0, inner) + 1)
-                                        policy.close(symbol_kind, head, answer, 1)
                                     chain = chains.get((head, base))
                                     if chain is None:
                                         chain = chains[head, base] = [base]

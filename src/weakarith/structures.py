@@ -217,18 +217,10 @@ def _check_ranges(structure: FiniteStructure) -> None:
         if any(not (0 <= v < k) for v in table):
             raise FormatError(f"function {name!r} maps outside the universe")
         # length must be a power of the size (some arity's table)
-        n, ok = len(table), False
-        if k == 1:
-            ok = n == 1
-        else:
-            while n >= 1:
-                if n == 1:
-                    ok = True
-                    break
-                if n % k:
-                    break
-                n //= k
-        if not ok:
+        n = 1
+        while n < len(table) and k > 1:
+            n *= k
+        if n != len(table):
             raise FormatError(f"function {name!r} table length {len(table)} "
                               f"is not a power of {k}")
     for name, extent in structure.relations.items():

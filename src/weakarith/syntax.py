@@ -138,8 +138,11 @@ class Language:
 # --- the node kernel ----------------------------------------------------
 #
 # Nodes are hash-consed (Filliatre & Conchon, "Type-Safe Modular
-# Hash-Consing", 2006): each constructor looks its class and fields up in
-# _NODES and returns the node built before when there is one. Children are
+# Hash-Consing", 2006): each constructor forms the key (class, *fields) and
+# returns the node _NODES holds under it, or else the one _make builds and
+# records there; _make is the only place a node is created. The hit path
+# `_NODES.get(key) or _make(key)` relies on every node being true, which
+# holds because no node class defines __bool__ or __len__. Children are
 # interned before their parents, so one dict lookup per node suffices, and
 # the default identity __eq__ and __hash__ are structural equality: O(1) and
 # free of recursion at any depth. The table is a plain dict and holds every
@@ -155,6 +158,15 @@ _NODES: dict[tuple, "_Node"] = {}
 _SUBSTITUTIONS: dict[tuple, "Formula"] = {}
 _new = object.__new__
 _set = object.__setattr__
+
+
+def _make(key: tuple) -> "_Node":
+    """The new node key = (class, *fields in __match_args__ order), recorded in _NODES."""
+    node = _new(key[0])
+    for field, value in zip(key[0].__match_args__, key[1:]):
+        _set(node, field, value)
+    _NODES[key] = node
+    return node
 
 
 class _Node:
@@ -224,11 +236,7 @@ class Var(_Node):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = _new(cls)
-            _set(node, "name", name)
-        return node
+        return _NODES.get(key) or _make(key)
 
 
 class App(_Node):
@@ -243,10 +251,9 @@ class App(_Node):
         key = (cls, name, args)
         node = _NODES.get(key)
         if node is None:
-            node = _NODES[key] = _new(cls)
-            _set(node, "name", name)
-            _set(node, "args", args)
-            _set(node, "ground", all(a.ground for a in args))
+            ground = all(a.ground for a in args)  # a non-term argument raises before _make
+            node = _make(key)
+            _set(node, "ground", ground)
         return node
 
 
@@ -263,12 +270,7 @@ class Rel(_Node):
         if type(args) is not tuple:
             args = tuple(args)
         key = (cls, name, args)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = _new(cls)
-            _set(node, "name", name)
-            _set(node, "args", args)
-        return node
+        return _NODES.get(key) or _make(key)
 
 
 class _Nullary(_Node):
@@ -276,10 +278,7 @@ class _Nullary(_Node):
 
     def __new__(cls):
         key = (cls,)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = _new(cls)
-        return node
+        return _NODES.get(key) or _make(key)
 
 
 class _Unary(_Node):
@@ -288,11 +287,7 @@ class _Unary(_Node):
 
     def __new__(cls, body: "Formula"):
         key = (cls, body)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = _new(cls)
-            _set(node, "body", body)
-        return node
+        return _NODES.get(key) or _make(key)
 
 
 class _Binary(_Node):
@@ -301,12 +296,7 @@ class _Binary(_Node):
 
     def __new__(cls, left, right):
         key = (cls, left, right)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = _new(cls)
-            _set(node, "left", left)
-            _set(node, "right", right)
-        return node
+        return _NODES.get(key) or _make(key)
 
 
 class _Binder(_Node):
@@ -315,12 +305,7 @@ class _Binder(_Node):
 
     def __new__(cls, var: str, body: "Formula"):
         key = (cls, var, body)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = _new(cls)
-            _set(node, "var", var)
-            _set(node, "body", body)
-        return node
+        return _NODES.get(key) or _make(key)
 
 
 class Eq(_Binary):
@@ -509,19 +494,13 @@ def symbols_of(phi: Formula) -> tuple[dict[str, int], dict[str, int]]:
 
 def validate_formula(phi: Formula, lang: Language) -> None:
     """Check that every symbol reference resolves in lang at the right arity."""
-    rels, funs = symbols_of(phi)
-    for name, arity in rels.items():
-        sym = lang.lookup(name)
-        if sym is None or sym.kind != KIND_RELATION:
-            raise LanguageError(f"unknown relation symbol {name!r}")
-        if sym.arity != arity:
-            raise LanguageError(f"relation {name!r} expects {sym.arity} arguments, got {arity}")
-    for name, arity in funs.items():
-        sym = lang.lookup(name)
-        if sym is None or sym.kind != KIND_FUNCTION:
-            raise LanguageError(f"unknown function symbol {name!r}")
-        if sym.arity != arity:
-            raise LanguageError(f"function {name!r} expects {sym.arity} arguments, got {arity}")
+    for kind, used in zip((KIND_RELATION, KIND_FUNCTION), symbols_of(phi)):
+        for name, arity in used.items():
+            sym = lang.lookup(name)
+            if sym is None or sym.kind != kind:
+                raise LanguageError(f"unknown {kind} symbol {name!r}")
+            if sym.arity != arity:
+                raise LanguageError(f"{kind} {name!r} expects {sym.arity} arguments, got {arity}")
 
 
 # --- substitution --------------------------------------------------------

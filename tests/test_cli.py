@@ -214,6 +214,20 @@ def test_pair_spec_with_a_spaced_element_is_an_error_line(capsys, argv):
         "error: bad element '1 2' in pair spec 'finite B={1 2} C={}'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--file", "{}"],
+    ["godel", "--encode", "{}"],
+    ["search-proof", "--theory", "R", "--goal", "{}"],
+    ["enumerate-pair", "--pair", "{}"],
+    ["axioms", "E:{}"],
+])
+def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"(= 0 \xe9)\n")
+    assert main([arg.format(path) for arg in argv]) == 2
+    assert _one_error_line(capsys).startswith(f"error: cannot read {path}: ")
+
+
 def test_check_proof_valid_and_invalid(tmp_path, capsys):
     good = tmp_path / "p1.prf"
     good.write_text("# one axiom citation\nax R 7\n")
@@ -313,6 +327,60 @@ def test_stress_rows(capsys):
         "4 dontknow unanswered\n"
         "5 dontknow unanswered\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "R", "--count", "-2"],
+    ["obligations", "--translation", "t", "--theory", "R", "--first-k", "-1"],
+    ["verify", "--translation", "t", "--theory", "R", "--structure", "s", "--first-k", "-1"],
+    ["find-model", "--theory", "Q", "--max-size", "1", "--first-k", "-1"],
+    ["find-model", "--theory", "Q", "--max-size", "-1"],
+    ["decide", "--sentence", "s", "--pair", "canonical", "--stage", "-1"],
+    ["enumerate-pair", "--pair", "canonical", "--stage", "-3"],
+    ["run-machine", "--code", "5", "--steps", "-4"],
+    ["run-machine", "--code", "5", "--input", "-3"],
+    ["search-proof", "--theory", "R", "--goal", "g", "--budget", "-1"],
+    ["search-proof", "--theory", "R", "--goal", "g", "--numeral-bound", "-3"],
+    ["independence", "--pair", "canonical", "--decider", "table", "--n-max", "-1"],
+    ["independence", "--pair", "canonical", "--decider", "table", "--n-max", "3",
+     "--stage", "-1"],
+    ["independence", "--pair", "canonical", "--decider", "proof-search", "--theory", "R",
+     "--n-max", "3", "--budget", "-1"],
+    ["stress", "--theory", "R", "--decider", "table", "--pair", "canonical", "--stage", "-1"],
+    ["stress", "--theory", "R", "--decider", "proof-search", "--budget", "-1"],
+    ["stress", "--theory", "R", "--decider", "proof-search", "--sentence-budget", "-1"],
+    ["stress", "--theory", "R", "--decider", "proof-search", "--axiom-scan", "-1"],
+])
+def test_negative_naturals_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": invalid natural value: '{argv[-1]}'\n")
+
+
+def test_a_natural_that_is_no_int_keeps_its_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-machine", "--code", "5", "--steps", "abc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --steps: invalid int value: 'abc'\n")
+
+
+def test_only_four_options_take_any_int():
+    """Every other int option is a count, size, stage, step, input or budget."""
+    import argparse
+
+    from weakarith.cli import build_parser
+
+    verbs = next(action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    plain = {(verb, action.option_strings[0])
+             for verb, parser in verbs.items() for action in parser._actions
+             if action.type is int}
+    assert plain == {("axioms", "--start"), ("normal-form", "--rank"),
+                     ("run-machine", "--code"), ("godel", "--decode")}
 
 
 def test_unknown_verb_and_flag_exit_two():
@@ -468,8 +536,8 @@ def test_each_verb_reads_its_formula_file_once(capsys, tmp_path, monkeypatch):
     import weakarith.cli as cli
 
     reads = []
-    real_read = cli._read
-    monkeypatch.setattr(cli, "_read", lambda path: reads.append(path) or real_read(path))
+    real_read = cli.read_text
+    monkeypatch.setattr(cli, "read_text", lambda path: reads.append(path) or real_read(path))
     formula = tmp_path / "phi.txt"
     formula.write_text("(forall x (<= x (S 0)))")
     tr_path = tmp_path / "id.tr"

@@ -120,6 +120,13 @@ def test_congruence_schemas():
         "(-> (= a c) (-> (= b d) (-> (<= a b) (<= c d))))"
 
 
+@pytest.mark.parametrize("args", [("S", "x", "y"), ("S", 3, 4), ("S", Var("x"), TRUE)])
+def test_congruence_steps_want_terms(args):
+    with pytest.raises(InvalidStepError) as exc:
+        check_proof(Proof((LogicalAxiom("eq-cong-fun", args),)), R)
+    assert str(exc.value) == "step 0: schema eq-cong-fun: expected a term"
+
+
 def test_generalization():
     proof = Proof((
         LogicalAxiom("eq-refl", (Var("x"),)),

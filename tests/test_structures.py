@@ -87,6 +87,14 @@ def test_parse_structure_rejects_bad_tables():
         parse_structure("size 2\nfun S = [1, 2]\n")  # value out of range
     with pytest.raises(FormatError):
         parse_structure("size 2\nfun S = [1, 0, 1]\n")  # not a power of 2
+    for k in range(1, 5):  # a table's length is a power of the size, the empty one none
+        for n in range(30):
+            text = f"size {k}\nfun f = [{', '.join(['0'] * n)}]\n"
+            if n in {k ** a for a in range(5)}:
+                assert len(parse_structure(text).functions["f"]) == n
+            else:
+                with pytest.raises(FormatError, match="is not a power of"):
+                    parse_structure(text)
     with pytest.raises(FormatError):
         parse_structure("size 2\nrel E = {(0, 2)}\n")
     with pytest.raises(FormatError):

@@ -142,10 +142,19 @@ def test_formula_size_counts_nodes():
 
 def test_validate_formula_checks_language():
     validate_formula(Eq(s(zero), zero), LANG)
-    with pytest.raises(LanguageError):
-        validate_formula(Rel("E", (x, x)), LANG)
-    with pytest.raises(LanguageError):
-        validate_formula(Eq(App("S", (zero, zero)), zero), LANG)
+    for phi, message in [
+            (Rel("E", (x, x)), "unknown relation symbol 'E'"),
+            (Rel("S", (x,)), "unknown relation symbol 'S'"),
+            (Rel("<=", (x,)), "relation '<=' expects 2 arguments, got 1"),
+            (Eq(App("f", (x,)), zero), "unknown function symbol 'f'"),
+            (Eq(App("<=", (x, y)), zero), "unknown function symbol '<='"),
+            (Eq(App("S", (zero, zero)), zero), "function 'S' expects 1 arguments, got 2"),
+            # relations are checked before functions, whatever the order of occurrence
+            (And(Eq(App("f", (x,)), zero), Rel("E", (x,))), "unknown relation symbol 'E'"),
+            (And(Eq(App("S", ()), zero), Rel("<=", ())), "relation '<=' expects 2 arguments, got 0")]:
+        with pytest.raises(LanguageError) as caught:
+            validate_formula(phi, LANG)
+        assert str(caught.value) == message
 
 
 def test_lookup_takes_only_ascii_family_indices():
@@ -460,10 +469,56 @@ def test_copies_and_pickles_are_the_interned_node(phi):
     import copy
     import pickle
 
-    assert copy.copy(phi) is phi
-    assert copy.deepcopy(phi) is phi
     assert copy.deepcopy([phi, (phi,)])[1][0] is phi
-    assert pickle.loads(pickle.dumps(phi)) is phi
+    for node, _ in walk(phi):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+
+_CLASSES = (Var, App, Rel, Eq, Verum, Falsum, Not, And, Or, Implies, ForAll, Exists)
+
+
+@given(_formulas(depth=3), st.data())
+def test_every_node_class_keeps_its_fields(phi, data):
+    """Each of the twelve classes, built over random subtrees of phi."""
+    nodes = [node for node, _ in walk(phi)] + [zero]
+    terms = [n for n in nodes if type(n) in (Var, App)]
+    formulas = [n for n in nodes if type(n) not in (Var, App)]
+
+    def some(pool, k):
+        return tuple(data.draw(st.sampled_from(pool)) for _ in range(k))
+
+    for cls in _CLASSES:
+        name = data.draw(st.sampled_from(["x", "f", "0", "E"]))
+        if cls is Var:
+            fields = (name,)
+        elif cls is App or cls is Rel:
+            fields = (name, some(terms, data.draw(st.integers(0, 3))))
+        elif cls is Eq:
+            fields = some(terms, 2)
+        elif cls is Verum or cls is Falsum:
+            fields = ()
+        elif cls is Not:
+            fields = some(formulas, 1)
+        elif cls is ForAll or cls is Exists:
+            fields = (name, *some(formulas, 1))
+        else:
+            fields = some(formulas, 2)
+        node = cls(*fields)
+        assert type(node) is cls
+        # each field reads back; nodes compare by identity, also inside a tuple
+        assert tuple(getattr(node, field) for field in cls.__match_args__) == fields
+        assert cls(**dict(zip(cls.__match_args__, fields))) is node
+        if cls is Var or cls is App:  # ground exactly when the walk meets no variable
+            assert node.ground == all(type(n) is not Var for n, _ in walk(node))
+        if cls is App or cls is Rel:
+            assert cls(fields[0], list(fields[1])) is node
+        with pytest.raises(TypeError):
+            cls(*fields, x)
+        if fields:  # args defaults to (), so an application needs its name alone
+            with pytest.raises(TypeError):
+                cls(*fields[:-2 if cls is App or cls is Rel else -1])
 
 
 def test_reduce_rebuilds_through_the_constructor():
@@ -506,6 +561,23 @@ def test_keyword_construction_and_defaults():
     assert Eq(left=x, right=y) is Eq(x, y)
     assert ForAll(var="x", body=TRUE) is ForAll("x", TRUE)
     assert Verum() is TRUE and Falsum() is FALSE
+    assert Var(name="x") is x
+    assert Rel(name="E", args=[x, y]) is Rel("E", (x, y))
+    assert Not(body=FALSE) is Not(FALSE)
+    assert And(left=TRUE, right=FALSE) is And(TRUE, FALSE)
+    assert Or(right=TRUE, left=FALSE) is Or(FALSE, TRUE)
+    assert Implies(left=FALSE, right=TRUE) is Implies(FALSE, TRUE)
+    assert Exists(body=Eq(x, y), var="y") is Exists("y", Eq(x, y))
+
+
+def test_a_failed_construction_records_no_node():
+    from weakarith.syntax import _NODES
+
+    before = len(_NODES)
+    for _ in range(2):  # the second call must not find a half-built node
+        with pytest.raises(AttributeError):
+            App("f", ("y",))
+    assert len(_NODES) == before
 
 
 def test_ground_flag():
