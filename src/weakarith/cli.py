@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .eqdecide import decide, normal_form, rank
+from .eqdecide import MAX_RANK, decide, normal_form, rank
 from .errors import FormatError, WorkbenchError, read_text
 from .experiments import (
     equivalence_decider,
@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("normal-form",
                        help="size-literal normal form of a sentence")
     p.add_argument("--sentence", required=True)
-    p.add_argument("--rank", type=int)
+    p.add_argument("--rank", type=int,
+                   help="profile rank: at least the sentence's rank and "
+                        f"at most {MAX_RANK} (default: the sentence's rank)")
     p.add_argument("--lang")
     p.set_defaults(run=_do_normal_form)
 

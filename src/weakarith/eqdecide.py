@@ -8,6 +8,18 @@ histograms, realizing each one canonically, and evaluating the sentence
 on the realizations. Oracle knowledge enters only by constraining which
 histograms are admissible. Evaluation is the orbit game of eval_on_blocks,
 built on the two-valued evaluator core `structures.truth`.
+
+The same bound holds inside the game (Ehrenfeucht, Fund. Math. 1961): a
+quantifier node f of rank q, its own quantifier included, is won or lost
+in q more moves, so its value depends only on
+  - the equality and block pattern of f's free variables, in sorted-name
+    order;
+  - for each block holding one of them, its other elements, capped at q;
+  - the sizes of all other blocks, capped at q, counted per capped size,
+    each count capped at q.
+`decide` and `normal_form` share one memo under that key across all the
+profiles of one call, so profiles that differ only above a subformula's
+cap play its subgames once. The memo is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -19,13 +31,19 @@ from .errors import WorkbenchError
 from .machines import OraclePair
 from .structures import FiniteStructure, truth
 from .syntax import (
+    And,
     App,
     Eq,
+    Exists,
+    Falsum,
     ForAll,
     Formula,
+    Implies,
+    Not,
+    Or,
     Rel,
-    free_variables,
-    walk,
+    Var,
+    Verum,
 )
 
 
@@ -44,30 +62,79 @@ class ProfileError(WorkbenchError):
 DEFAULT_RELATION = "E"
 
 
+MAX_RANK = 5  # normal forms at rank 6 have up to 823,542 disjuncts
+
+_JOIN, _BIND = object(), object()  # markers on _read_sentence's stack
+
+
+def _read_sentence(phi: Formula):
+    """(relation name, rank, free variables, keyed quantifiers) in one pass.
+
+    Bottom-up over an explicit stack, children left to right, so errors come
+    in pre-order: a function symbol or a relation at arity other than two
+    raises where it first occurs, several relation names only at the end.
+    Keyed quantifiers maps every quantifier node of rank q >= 2 to q and its
+    sorted free variables, the two things its memo key needs (module
+    docstring). Rank-1 nodes expand to atoms only and go unkeyed.
+    """
+    names: set[str] = set()
+    keyed: dict[Formula, tuple[int, tuple[str, ...]]] = {}
+    stack = [phi]
+    pop, push = stack.pop, stack.append
+    done: list[tuple[int, frozenset[str]]] = []  # (rank, free) of finished subtrees
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is Var:
+            done.append((0, frozenset((node.name,))))
+        elif kind is Rel:
+            if len(node.args) != 2:
+                raise WrongLanguageError(
+                    f"relation {node.name!r} used at arity {len(node.args)}, want 2")
+            names.add(node.name)
+            left, right = node.args
+            stack += (_JOIN, right, left)
+        elif kind is Eq or kind is And or kind is Or or kind is Implies:
+            stack += (_JOIN, node.right, node.left)
+        elif kind is Not:
+            push(node.body)
+        elif kind is ForAll or kind is Exists:
+            stack += (node, _BIND, node.body)
+        elif kind is Verum or kind is Falsum:
+            done.append((0, frozenset()))
+        elif node is _JOIN:
+            q, free = done.pop()
+            q0, free0 = done[-1]
+            done[-1] = (q if q > q0 else q0, free0 | free)
+        elif node is _BIND:
+            quantifier = pop()
+            q, free = done[-1]
+            q, free = q + 1, free - {quantifier.var}
+            done[-1] = (q, free)
+            if q > 1:
+                keyed[quantifier] = (q, tuple(sorted(free)))
+        elif kind is App:
+            raise WrongLanguageError("terms must be plain variables")
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    if len(names) > 1:
+        raise WrongLanguageError(f"several relation symbols: {sorted(names)}")
+    q, free = done[0]
+    return names.pop() if names else DEFAULT_RELATION, q, free, keyed
+
+
 def relation_name_of(phi: Formula) -> str:
     """The unique binary relation symbol in phi, defaulting when absent.
 
     Raises WrongLanguageError on function symbols, several relation
     names, or a relation used at arity other than two.
     """
-    names: set[str] = set()
-    for node, _ in walk(phi):
-        if type(node) is Rel:
-            if len(node.args) != 2:
-                raise WrongLanguageError(
-                    f"relation {node.name!r} used at arity {len(node.args)}, want 2")
-            names.add(node.name)
-        elif type(node) is App:
-            raise WrongLanguageError("terms must be plain variables")
-    if len(names) > 1:
-        raise WrongLanguageError(f"several relation symbols: {sorted(names)}")
-    return names.pop() if names else DEFAULT_RELATION
+    return _read_sentence(phi)[0]
 
 
 def rank(phi: Formula) -> int:
     """Quantifier nesting depth of a one-binary-relation sentence."""
-    relation_name_of(phi)
-    return max(len(bound) for _, bound in walk(phi))
+    return _read_sentence(phi)[1]
 
 
 # --- profiles ------------------------------------------------------------
@@ -170,7 +237,8 @@ def _moves(touched, untouched, asg):
             yield touched + ((size, 1),), rest, (len(touched), 0)
 
 
-def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
+def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION, *,
+                   _memo=None) -> bool:
     """Evaluate a one-binary-relation sentence on a disjoint-block structure.
 
     Agrees with eval_formula on the realized structure but collapses
@@ -180,6 +248,16 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
     quantifier depth, never on how many elements the blocks hold.
     Connectives go through `structures.truth` with the game state
     (touched blocks, untouched sizes, assignment).
+
+    `decide` and `normal_form` pass `_memo`, the keyed quantifiers of
+    `_read_sentence` and one table shared by every profile of the call. A
+    keyed node f of rank q then answers from the table when it has met a
+    state with the same rank-q abstraction: the same pattern of f's free
+    variables over elements and blocks, the same unnamed elements of their
+    blocks capped at q, and the same histogram of other block sizes capped
+    at q with counts capped at q. By Ehrenfeucht's game those states cannot
+    be told apart in q moves, so f has the same value in both. Without
+    `_memo` every node is expanded: the plain game.
     """
     blocks = tuple(blocks)
     if not blocks:
@@ -187,6 +265,50 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
     untouched0: dict[int, int] = {}
     for s in blocks:
         untouched0[s] = untouched0.get(s, 0) + 1
+    keyed, table = _memo if _memo is not None else ({}, None)
+    views: dict[tuple, frozenset] = {}
+
+    def others(q: int, named: tuple[int, ...]) -> frozenset:
+        """The blocks that no free variable names, as (size, count) capped at q.
+
+        `named` lists the capped sizes of the named blocks; the answer depends
+        only on the profile, so it is worked out once per eval_on_blocks call.
+        """
+        view = views.get((q, named))
+        if view is None:
+            histogram: dict[int, int] = {}
+            for size, count in untouched0.items():
+                size = size if size < q else q
+                histogram[size] = histogram.get(size, 0) + count
+            for size in named:
+                histogram[size] -= 1
+            view = views[q, named] = frozenset(
+                (size, count if count < q else q) for size, count in histogram.items() if count)
+        return view
+
+    def abstraction(f: Formula, q: int, free: tuple[str, ...], touched, asg) -> tuple:
+        """The memo key of keyed node f in a game state; zero and one free
+        variables, the common cases, take a shorter form of the same key."""
+        if not free:
+            return f, others(q, ())
+        if len(free) == 1:
+            size = touched[asg[free[0]][0]][0]
+            return f, min(size - 1, q), others(q, (size if size < q else q,))
+        elements: dict[tuple, int] = {}  # element -> order of first use by free
+        for v in free:
+            e = asg[v]
+            if e not in elements:
+                elements[e] = len(elements)
+        named: dict[int, int] = {}       # touched slot -> elements of free in it
+        for e in elements:
+            named[e[0]] = named.get(e[0], 0) + 1
+        slot_ids = {slot: i for i, slot in enumerate(named)}
+        sizes = [touched[slot][0] for slot in named]
+        return (f,
+                tuple(elements[asg[v]] for v in free),
+                tuple(slot_ids[e[0]] for e in elements),
+                tuple(min(size - n, q) for size, n in zip(sizes, named.values())),
+                others(q, tuple(sorted(size if size < q else q for size in sizes))))
 
     def atom(f: Formula, state) -> bool:
         touched, untouched, asg = state
@@ -196,12 +318,20 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION) -> bool:
             return a[0] == b[0]
         if t is Eq:
             return asg[f.left.name] == asg[f.right.name]
-        want_all = t is ForAll
-        for t2, u2, value in _moves(touched, untouched, asg):
-            got = truth(f.body, atom, (t2, u2, {**asg, f.var: value}))
-            if got != want_all:
-                return got
-        return want_all
+        spec = keyed.get(f)
+        if spec is not None:
+            key = abstraction(f, *spec, touched, asg)
+            value = table.get(key)
+            if value is not None:
+                return value
+        want_all = value = t is ForAll
+        for t2, u2, element in _moves(touched, untouched, asg):
+            if truth(f.body, atom, (t2, u2, {**asg, f.var: element})) != want_all:
+                value = not want_all
+                break
+        if spec is not None:
+            table[key] = value
+        return value
 
     return truth(phi, atom, ((), untouched0, {}))
 
@@ -266,13 +396,14 @@ def decide(phi: Formula, pair: OraclePair, stage: int) -> Decision:
     unknown-at-this-stage otherwise. Admissible sets only shrink as the
     stage grows, so provable and refutable verdicts never flip.
     """
-    rel = relation_name_of(phi)
-    if free_variables(phi):
+    rel, r, free, keyed = _read_sentence(phi)
+    if free:
         raise WrongLanguageError("decide wants a sentence, not an open formula")
-    r = max(rank(phi), 1)
+    r = max(r, 1)
+    memo = (keyed, {})
     example_true = example_false = None
     for p in admissible_profiles(r, pair, stage):
-        value = eval_on_blocks(_profile_blocks(p), phi, rel)
+        value = eval_on_blocks(_profile_blocks(p), phi, rel, _memo=memo)
         if value and example_true is None:
             example_true = p
         if not value and example_false is None:
@@ -345,15 +476,17 @@ def normal_form(phi: Formula, r: int) -> NormalForm:
     conjunction of size literals: exact counts below the cap, at-least
     at the cap.
     """
-    rel = relation_name_of(phi)
-    if free_variables(phi):
+    rel, actual, free, keyed = _read_sentence(phi)
+    if free:
         raise WrongLanguageError("normal_form wants a sentence")
-    actual = rank(phi)
     if r < actual:
         raise ProfileError(f"rank {r} below the sentence's rank {actual}")
+    if r > MAX_RANK:
+        raise ProfileError(f"rank {r} above the largest supported rank {MAX_RANK}")
     r = max(r, 1)
+    memo = (keyed, {})
     disjuncts = []
     for p in enumerate_profiles(r):
-        if eval_on_blocks(_profile_blocks(p), phi, rel):
+        if eval_on_blocks(_profile_blocks(p), phi, rel, _memo=memo):
             disjuncts.append(_profile_literals(p))
     return NormalForm(r, tuple(disjuncts))

@@ -177,6 +177,22 @@ def test_normal_form_render(tmp_path, capsys):
     assert "at least 1 class of size 1" in out
 
 
+@pytest.mark.parametrize("rank", ["6", "99999999999999999999"])
+def test_normal_form_refuses_a_rank_above_the_bound(tmp_path, capsys, rank):
+    src = tmp_path / "true.sexp"
+    src.write_text("true\n")
+    assert main(["normal-form", "--sentence", str(src), "--rank", rank]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank {rank} above the largest supported rank 5\n"
+
+
+def test_normal_form_help_states_the_rank_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["normal-form", "--help"])
+    assert "at most 5" in " ".join(capsys.readouterr().out.split())
+
+
 def test_enumerate_pair(capsys):
     assert main(["enumerate-pair", "--pair", "finite B={2,5} C={3}"]) == 0
     assert capsys.readouterr().out == "left: 2 5\nright: 3\n"
