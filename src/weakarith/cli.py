@@ -166,7 +166,8 @@ def _do_decide(args) -> int:
             print(f"true-profile: {_render_profile(decision.example_true)}")
         if decision.example_false is not None:
             print(f"false-profile: {_render_profile(decision.example_false)}")
-    _summary(args, status=decision.kind, stage=args.stage, rank=rank(phi))
+    if args.summary:
+        _summary(args, status=decision.kind, stage=args.stage, rank=rank(phi))
     return USAGE_OK
 
 

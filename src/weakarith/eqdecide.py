@@ -127,8 +127,8 @@ def relation_name_of(phi: Formula) -> str:
     """The unique binary relation symbol in phi, defaulting when absent.
 
     Raises WrongLanguageError on function symbols, several relation
-    names, or a relation used at arity other than two.
-    """
+    names, or a relation used at arity other than two. Library API: no CLI
+    verb calls it."""
     return _read_sentence(phi)[0]
 
 
@@ -160,7 +160,8 @@ class SizeProfile:
 
 
 def class_sizes(structure: FiniteStructure, rel: str = DEFAULT_RELATION) -> dict[int, int]:
-    """Uncapped histogram size -> number of classes; checks equivalence."""
+    """Uncapped histogram size -> number of classes; checks equivalence.
+    Library API: no CLI verb calls it."""
     pairs = structure.relations.get(rel)
     if pairs is None:
         raise NotAnEquivalenceError(f"no relation {rel!r} in the structure")
@@ -190,7 +191,8 @@ def class_sizes(structure: FiniteStructure, rel: str = DEFAULT_RELATION) -> dict
 
 def profile_of(structure: FiniteStructure, r: int,
                rel: str = DEFAULT_RELATION) -> SizeProfile:
-    """Capped histogram of an equivalence structure at rank r."""
+    """Capped histogram of an equivalence structure at rank r.
+    Library API: no CLI verb calls it."""
     if r < 1:
         raise ProfileError("profiles need rank >= 1")
     histogram = class_sizes(structure, rel)
@@ -202,7 +204,8 @@ def profile_of(structure: FiniteStructure, r: int,
 def realize_profile(profile: SizeProfile,
                     rel: str = DEFAULT_RELATION) -> FiniteStructure:
     """Canonical witness: capped counts become exactly the cap, every
-    class larger than the rank becomes one of rank+1 elements."""
+    class larger than the rank becomes one of rank+1 elements. Library API:
+    no CLI verb calls it."""
     blocks = _profile_blocks(profile)
     if not blocks:
         raise ProfileError("the empty profile has no nonempty realization")
@@ -333,7 +336,10 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION, *,
             table[key] = value
         return value
 
-    return truth(phi, atom, ((), untouched0, {}))
+    try:
+        return truth(phi, atom, ((), untouched0, {}))
+    finally:
+        del atom  # atom calls itself through its cell; emptying it lets refcounting free the game
 
 
 def enumerate_profiles(r: int):
@@ -455,6 +461,7 @@ class NormalForm:
 
     def holds_in(self, structure: FiniteStructure,
                  rel: str = DEFAULT_RELATION) -> bool:
+        """Some disjunct holds in the structure. Library API: no CLI verb calls it."""
         histogram = class_sizes(structure, rel)
         return any(all(lit.holds(histogram, self.rank) for lit in d)
                    for d in self.disjuncts)

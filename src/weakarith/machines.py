@@ -175,10 +175,6 @@ def parse_program(text: str) -> Program:
     return Program(tuple(instrs))
 
 
-def format_program(program: Program) -> str:
-    return "\n".join(" ".join(str(x) for x in op) for op in program.instructions)
-
-
 # --- oracle pairs ---------------------------------------------------------
 
 class StageDisjointnessError(WorkbenchError):
@@ -310,11 +306,3 @@ def load_pair_spec(spec: str) -> OraclePair:
     if text != "canonical" and "=" not in text:
         text = read_text(text)
     return parse_pair_spec(text)
-
-
-def format_pair_spec(pair_: OraclePair) -> str:
-    if pair_.finite:
-        b = ",".join(str(x) for x in sorted(pair_.left.at(0)))
-        c = ",".join(str(x) for x in sorted(pair_.right.at(0)))
-        return f"finite B={{{b}}} C={{{c}}}"
-    return "canonical"

@@ -448,6 +448,7 @@ def free_variables(phi: Formula) -> frozenset[str]:
 
 
 def is_sentence(phi: Formula) -> bool:
+    """No free variables. Library API: no CLI verb calls it."""
     return not free_variables(phi)
 
 
@@ -650,9 +651,8 @@ def classify_formula(phi: Formula) -> str:
     """Least class among Delta0 / Sigma n / Pi n for the formula as written.
 
     Ties (least Sigma level equals least Pi level, both positive) report the
-    Sigma side. "unclassified" is reserved for shapes outside the hierarchy;
-    the recursion here is total, so it does not occur in practice.
-    """
+    Sigma side. Library API: no CLI verb calls it, but the benchmark's
+    tracer wraps it (perfbench/tracing.py)."""
     s, p = _levels(phi)
     if s == 0 and p == 0:
         return "Delta0"

@@ -40,14 +40,11 @@ from .syntax import (
     SymbolFamily,
     Term,
     Var,
-    all_variable_names,
     and_all,
-    free_variables,
     fresh_variant,
     iff,
     neq,
     or_all,
-    substitute,
 )
 
 
@@ -82,11 +79,6 @@ def _times(a: Term, b: Term) -> Term:
 
 def _le(a: Term, b: Term) -> Formula:
     return Rel(LE, (a, b))
-
-
-def _lt(a: Term, b: Term) -> Formula:
-    # strict order spelled out, since the catalog languages only carry <=
-    return And(_le(a, b), Not(Eq(a, b)))
 
 
 # numeral(k) for every k built so far: the one interned chain, extended on
@@ -125,11 +117,6 @@ def _exists_many(names, body: Formula) -> Formula:
     for nm in reversed(list(names)):
         body = Exists(nm, body)
     return body
-
-
-def _close(body: Formula) -> Formula:
-    """Universal closure, binding free variables in sorted order."""
-    return _forall_many(sorted(free_variables(body)), body)
 
 
 # --- languages ------------------------------------------------------------
@@ -212,39 +199,6 @@ def ax5(n: int) -> Formula:
     return ForAll("x", Or(_le(x, numeral(n)), _le(numeral(n), x)))
 
 
-def induction(phi: Formula, var: str) -> Formula:
-    """Induction instance for phi along its designated variable.
-
-    The instance is universally closed over the remaining free variables.
-    """
-    if var not in free_variables(phi):
-        raise SchemeError(f"induction wants {var!r} free in the formula")
-    base = substitute(phi, var, ZERO)
-    step = ForAll(var, Implies(phi, substitute(phi, var, _succ(Var(var)))))
-    body = Implies(And(base, step), ForAll(var, phi))
-    return _close(body)
-
-
-def collection(phi: Formula, x: str, y: str) -> Formula:
-    """Collection instance: bounded-forall exists collapses to a bound.
-
-    phi must have both designated variables free; the bounding variables
-    are chosen fresh.  Universally closed over remaining free variables.
-    """
-    if x == y:
-        raise SchemeError("collection needs two distinct designated variables")
-    fv = free_variables(phi)
-    if x not in fv or y not in fv:
-        raise SchemeError(f"collection wants {x!r} and {y!r} free in the formula")
-    used = all_variable_names(phi) | {x, y}
-    u = fresh_variant("u", used)
-    v = fresh_variant("v", used | {u})
-    ante = ForAll(x, Implies(_lt(Var(x), Var(u)), Exists(y, phi)))
-    cons = Exists(v, ForAll(x, Implies(_lt(Var(x), Var(u)),
-                                       Exists(y, And(_lt(Var(y), Var(v)), phi)))))
-    return _close(ForAll(u, Implies(ante, cons)))
-
-
 EQREL = "E"
 
 
@@ -322,50 +276,6 @@ def set_extent(n: int) -> Formula:
     return Exists("z", _exists_many(names, and_all(distinct + [closure])))
 
 
-_NUMERIC_SCHEMES = {
-    "ax1": ax1, "ax2": ax2, "ax3": ax3, "ax4": ax4, "ax4e": ax4e, "ax5": ax5,
-    "size-exists": size_exists, "size-unique": size_unique,
-    "equivalence": equivalence_axiom, "set-extent": set_extent,
-}
-
-_SCHEME_ALIASES = {
-    "ax4'": "ax4e",
-    "phi-existence": "size-exists",
-    "phi-uniqueness": "size-unique",
-    "equivalence-axioms": "equivalence",
-    "t-set-axiom": "set-extent",
-}
-
-
-def scheme_instance(scheme: str, params) -> Formula:
-    """Instantiate a scheme by id; params is a sequence per signature.
-
-    Signatures: ax1/ax2/ax3 take (m, n); ax4/ax4e/ax5, size-exists,
-    size-unique, equivalence and set-extent take (n,); induction takes
-    (formula, var); collection takes (formula, var, var).
-    """
-    key = scheme.strip().lower()
-    key = _SCHEME_ALIASES.get(key, key)
-    try:
-        if key in ("ax1", "ax2", "ax3"):
-            m, n = params
-            return _NUMERIC_SCHEMES[key](int(m), int(n))
-        if key in _NUMERIC_SCHEMES:
-            (n,) = params
-            return _NUMERIC_SCHEMES[key](int(n))
-        if key == "induction":
-            phi, var = params
-            return induction(phi, str(var))
-        if key == "collection":
-            phi, x, y = params
-            return collection(phi, str(x), str(y))
-    except SchemeError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemeError(f"bad parameters for scheme {scheme!r}: {exc}") from exc
-    raise SchemeError(f"unknown scheme id {scheme!r}")
-
-
 # --- the Theory type ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -387,6 +297,7 @@ class Theory:
         return self.axiom_fn(i)
 
     def is_axiom(self, phi: Formula) -> bool:
+        """Exact axiom membership. Library API: no CLI verb calls it."""
         if self.member_fn is None:
             raise MembershipUndecidable(
                 f"theory {self.name} has no decidable axiom membership")

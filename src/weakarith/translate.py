@@ -10,7 +10,7 @@ Free variables are left unguarded; closing them is the caller's business.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iterproduct
 from typing import Mapping
@@ -34,7 +34,6 @@ from .syntax import (
     Not,
     Or,
     Rel,
-    Symbol,
     Term,
     Var,
     Verum,
@@ -45,7 +44,7 @@ from .syntax import (
     symbols_of,
     validate_formula,
 )
-from .theories import CATALOG, LANG_ORDERED_ARITH, get_language
+from .theories import get_language
 
 
 class TranslationError(WorkbenchError):
@@ -283,7 +282,7 @@ def verify_semantic(translation: Translation, theory, structure: FiniteStructure
 # --- composition and induced structures --------------------------------------
 
 def compose(first: Translation, second: Translation) -> Translation:
-    """Chain two translations; the result maps through first, then second."""
+    """Chain two translations, through first then second. Library API: no CLI verb calls it."""
     if first.target != second.source:
         raise TranslationError("composition needs first.target == second.source")
     p = first.domain.params[0]
@@ -303,8 +302,8 @@ def internal_structure(translation: Translation,
     """The induced structure: domain extension reindexed in sorted order.
 
     Raises InternalModelError when the domain is empty or some function
-    graph fails to be functional and total over the domain.
-    """
+    graph fails to be functional and total over the domain. Library API:
+    no CLI verb calls it, but the benchmark's models workload does."""
     dp = translation.domain.params[0]
     dom = [a for a in range(structure.size)
            if eval_formula(structure, translation.domain.body, {dp: a})]
@@ -339,10 +338,10 @@ def internal_structure(translation: Translation,
     return FiniteStructure(len(dom), functions, relations)
 
 
-# --- construction helpers and catalog ----------------------------------------
+# --- construction helpers ----------------------------------------------------
 
 def identity_translation(lang: Language) -> Translation:
-    """Domain is everything; every symbol maps to itself."""
+    """Domain is everything; every symbol maps to itself. Library API: no CLI verb calls it."""
     relations = {}
     functions = {}
     for sym in lang.symbols():
@@ -361,24 +360,13 @@ def identity_translation(lang: Language) -> Translation:
 
 def marker_collapse_translation(product_lang: Language, marker: str,
                                 target: Language) -> Translation:
-    """Send the product marker to absurdity, everything else to itself."""
+    """Send the product marker to absurdity, everything else to itself.
+    Library API: no CLI verb calls it."""
     base = identity_translation(target)
     relations = dict(base.relations)
     relations[marker] = TargetTemplate((), Falsum())
     return Translation(product_lang, target, base.domain,
                        relations, dict(base.functions))
-
-
-def builtin_translations() -> dict[str, Translation]:
-    """Named catalog; lookup by dict access, absent names just miss."""
-    out = {}
-    for tid, theory in CATALOG.items():
-        if not theory.language.families():
-            out[f"identity:{tid}"] = identity_translation(theory.language)
-    product_lang = LANG_ORDERED_ARITH.with_symbol(Symbol("P", KIND_RELATION, 0))
-    out["product-to-R"] = marker_collapse_translation(
-        product_lang, "P", LANG_ORDERED_ARITH)
-    return out
 
 
 def parse_translation(text: str) -> Translation:

@@ -51,7 +51,7 @@ from weakarith.syntax import (
     free_variables,
     symbols_of,
 )
-from weakarith.theories import get_theory, scheme_instance, size_exists
+from weakarith.theories import ax1, ax2, ax3, ax4, ax5, get_theory, size_exists
 from weakarith.translate import TargetTemplate, Translation, internal_structure, translate_formula
 
 # --- 1. interpretation soundness on a randomized grid --------------------------
@@ -169,13 +169,13 @@ def test_03_fragment_with_small_parameters_is_satisfiable():
     fragment = []
     for m in range(3):
         for n in range(3):
-            fragment.append(scheme_instance("ax1", (m, n)))
-            fragment.append(scheme_instance("ax2", (m, n)))
+            fragment.append(ax1(m, n))
+            fragment.append(ax2(m, n))
             if m != n:
-                fragment.append(scheme_instance("ax3", (m, n)))
+                fragment.append(ax3(m, n))
     for n in range(3):
-        fragment.append(scheme_instance("ax4", (n,)))
-        fragment.append(scheme_instance("ax5", (n,)))
+        fragment.append(ax4(n))
+        fragment.append(ax5(n))
     assert len(fragment) == 30
     outcome = model_search(fragment, 4)
     witness = outcome.witness
@@ -336,7 +336,7 @@ def test_09_proof_kernel_golden_and_fault_injection():
     conclusion = check_proof(one_line, theory)
     assert conclusion == parse_formula(
         "(= (+ (S 0) (S 0)) (S (S 0)))", theory.language)
-    assert conclusion == scheme_instance("ax1", (1, 1))
+    assert conclusion == ax1(1, 1)
 
     # forged modus ponens: the cited premise is not the antecedent
     forged = Proof((
@@ -352,7 +352,7 @@ def test_09_proof_kernel_golden_and_fault_injection():
         (parse_formula("(or (<= (S 0) (S 0)) (<= (S 0) (S 0)))",
                        theory.language), 22),
         (theory.axiom_of(20), 60),
-        (scheme_instance("ax1", (0, 0)), 30),
+        (ax1(0, 0), 30),
     ]
     for goal, budget in goals:
         proof = search_proof(theory, goal, budget)

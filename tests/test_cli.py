@@ -487,10 +487,13 @@ def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeyp
 
     tr_path = tmp_path / "id.tr"
     tr_path.write_text(IDENTITY_R)
+    sentence = tmp_path / "phi.txt"
+    sentence.write_text("(exists x (E x x))")
     verbs = [
         ["parse", "--text", "(forall x (= x (S 0)))", "--lang", "R"],
         ["translate", "--translation", str(tr_path), "--text", "(= (S 0) 0)"],
         ["godel", "--decode", "216"],  # (not true)
+        ["decide", "--sentence", str(sentence), "--pair", "canonical"],
     ]
     plain = []
     for argv in verbs:
@@ -498,19 +501,25 @@ def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeyp
         plain.append(capsys.readouterr().out)
     calls = []
 
-    def formula_size(phi):
-        calls.append(phi)
-        raise AssertionError("formula_size called without --summary")
+    def refuse(name):
+        def summary_only(phi):
+            calls.append(name)
+            raise AssertionError(f"{name} called without --summary")
+        return summary_only
 
-    monkeypatch.setattr(weakarith.cli, "formula_size", formula_size)
+    # decide's rank is a second read of the sentence, wanted only for the summary
+    monkeypatch.setattr(weakarith.cli, "formula_size", refuse("formula_size"))
+    monkeypatch.setattr(weakarith.cli, "rank", refuse("rank"))
     for argv, want in zip(verbs, plain):
         assert main(argv) == 0
         assert capsys.readouterr().out == want
     assert calls == []
-    # the patch is the one the verbs would call for the summary line
+    # the patches are the ones the verbs would call for the summary line
     with pytest.raises(AssertionError):
         main(verbs[0] + ["--summary"])
-    assert len(calls) == 1
+    with pytest.raises(AssertionError):
+        main(verbs[3] + ["--summary"])
+    assert calls == ["formula_size", "rank"]
 
 
 # --- the interpreter limits belong to the CLI --------------------------------

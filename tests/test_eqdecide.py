@@ -390,7 +390,12 @@ def test_normal_form_refuses_ranks_above_the_bound():
         normal_form(PHI2, 2)  # the older refusal still comes first
 
 
-def test_no_memo_outlives_its_call(monkeypatch):
+def test_no_memo_outlives_its_call(monkeypatch, request):
+    # with the collector off, only reference counting can free a game, so a
+    # reference cycle left behind by a call keeps its memo alive
+    gc.disable()
+    request.addfinalizer(gc.enable)
+
     def container_sizes():
         return {name: len(value) for name, value in vars(eqdecide).items()
                 if not name.startswith("__") and isinstance(value, (dict, list, set))}
@@ -414,7 +419,6 @@ def test_no_memo_outlives_its_call(monkeypatch):
     assert container_sizes() == before
     assert all(memo is not None for memo in memos)
     assert len({id(memo) for memo in memos}) == 2 * len(calls)
-    gc.collect()  # the game's closures refer to themselves; only a collection frees them
     for memo in memos:
         for part in memo:  # only the spy's list holds the memo, nothing in eqdecide
             assert [r is memo for r in gc.get_referrers(part)] == [True]

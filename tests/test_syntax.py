@@ -635,11 +635,11 @@ def test_a_repeated_pass_adds_no_memo_entry():
     """The substitution memo is bounded by the distinct outermost calls."""
     from weakarith.proofs import search_proof
     from weakarith.syntax import _NODES, _SUBSTITUTIONS
-    from weakarith.theories import get_theory
-    from weakarith.translate import builtin_translations, translate_formula
+    from weakarith.theories import LANG_ORDERED_ARITH, get_theory
+    from weakarith.translate import identity_translation, translate_formula
 
     r, q = get_theory("R"), get_theory("Q")
-    identity = builtin_translations()["identity:R"]
+    identity = identity_translation(LANG_ORDERED_ARITH)
 
     def one_pass():
         assert search_proof(r, Eq(numeral(1), numeral(2)), 150) is None

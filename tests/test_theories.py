@@ -20,6 +20,10 @@ from weakarith.syntax import (
 from weakarith.theories import (
     CATALOG,
     PADDING,
+    SchemeError,
+    ax1,
+    ax3,
+    equivalence_axiom,
     get_language,
     get_theory,
     make_e_theory,
@@ -27,7 +31,7 @@ from weakarith.theories import (
     numeral,
     numeral_value,
     offdiag,
-    scheme_instance,
+    set_extent,
     size_exists,
     size_unique,
 )
@@ -72,7 +76,7 @@ def test_fixed_theory_cycles():
 
 
 def test_scheme_golden_index():
-    assert R.axiom_of(20) == scheme_instance("ax1", (1, 1))
+    assert R.axiom_of(20) == ax1(1, 1)
     text = print_formula(R.axiom_of(20))
     assert text == "(= (+ (S 0) (S 0)) (S (S 0)))"
 
@@ -196,17 +200,17 @@ def test_product_marker_avoids_collision():
     assert phi.left.args == ()
 
 
-def test_scheme_instance_errors():
-    from weakarith.theories import SchemeError
-    with pytest.raises(SchemeError):
-        scheme_instance("ax1", (1,))
-    with pytest.raises(SchemeError):
-        scheme_instance("mystery", (1, 2))
+def test_schemes_refuse_parameters_outside_their_signature():
+    for build, params in [(ax3, (2, 2)), (size_exists, (-1,)),
+                          (set_extent, (-1,)), (equivalence_axiom, (3,))]:
+        with pytest.raises(SchemeError):
+            build(*params)
+    # membership rebuilds the scheme its shape shows: ax3 refuses (2, 2),
+    # and is_axiom answers no instead of raising
+    assert R.is_axiom(Not(Eq(numeral(2), numeral(2)))) is False
 
 
 def test_t_set_axioms_are_the_cached_extents():
-    from weakarith.theories import set_extent
-
     tset = get_theory("T-set")
     assert tset.axiom_of(7) is set_extent(7)
     assert tset.is_axiom(parse_formula(print_formula(set_extent(4)), tset.language))

@@ -29,10 +29,10 @@ from weakarith.translate import (
     TargetTemplate,
     Translation,
     TranslationError,
-    builtin_translations,
     compose,
     identity_translation,
     internal_structure,
+    marker_collapse_translation,
     obligations,
     parse_translation,
     translate_formula,
@@ -270,12 +270,10 @@ def test_compose_agrees_with_two_step():
         assert direct == induced == two_step, (i, print_formula(phi))
 
 
-def test_builtin_catalog():
-    cat = builtin_translations()
-    assert "identity:Q" in cat
-    assert "product-to-R" in cat
-    p2r = cat["product-to-R"]
+def test_marker_collapse_sends_the_product_marker_to_false():
     prod = get_theory("product:Q+,R")
+    marker = prod.axiom_of(0).left.name
+    p2r = marker_collapse_translation(prod.language, marker, get_language("R"))
     out = translate_formula(p2r, prod.axiom_of(0))
     assert isinstance(out, Implies)
     assert print_formula(out.left) == "false"
