@@ -173,8 +173,7 @@ def _do_decide(args) -> int:
 
 def _do_normal_form(args) -> int:
     phi = _decide_sentence(args)
-    r = args.rank if args.rank is not None else rank(phi)
-    nf = normal_form(phi, r)
+    nf = normal_form(phi, args.rank)
     print(nf.render())
     _summary(args, rank=nf.rank, disjuncts=len(nf.disjuncts))
     return USAGE_OK
@@ -292,12 +291,9 @@ def _do_independence(args) -> int:
 
 def _do_stress(args) -> int:
     theory = get_theory(args.theory)
-    if args.pair is not None:
-        pair = load_pair_spec(args.pair)
-    else:
-        pair = None
-        if args.decider != "proof-search":
-            raise FormatError(f"decider {args.decider!r} needs --pair")
+    pair = None if args.pair is None else load_pair_spec(args.pair)
+    if pair is None and args.decider in ("table", "equivalence"):
+        raise FormatError(f"decider {args.decider!r} needs --pair")
     decider = _make_decider(args, pair)
     report = stress_essential_undecidability(
         theory, decider, args.sentence_budget, axiom_scan=args.axiom_scan)

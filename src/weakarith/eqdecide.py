@@ -240,11 +240,11 @@ def _moves(touched, untouched, asg):
             yield touched + ((size, 1),), rest, (len(touched), 0)
 
 
-def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION, *,
-                   _memo=None) -> bool:
+def eval_on_blocks(blocks, phi: Formula, *, _memo=None) -> bool:
     """Evaluate a one-binary-relation sentence on a disjoint-block structure.
 
-    Agrees with eval_formula on the realized structure but collapses
+    Every relation atom, whatever its name, reads as "same block". Agrees
+    with eval_formula on the realized structure but collapses
     quantifier ranges to orbit representatives: a fresh variable needs
     only each already-picked element, one unused element per touched
     block, and one untouched block per distinct size. Cost depends on
@@ -342,14 +342,23 @@ def eval_on_blocks(blocks, phi: Formula, rel: str = DEFAULT_RELATION, *,
         del atom  # atom calls itself through its cell; emptying it lets refcounting free the game
 
 
-def enumerate_profiles(r: int):
-    """Every profile of the given rank except the unrealizable empty one."""
+def _profiles(r: int, choices):
+    """The nonempty rank-r profiles whose counts range over `choices`: one
+    range per size 1..r, then one for the classes larger than r. The last
+    count varies fastest."""
     if r < 1:
         raise ProfileError("profiles need rank >= 1")
-    for counts in iterproduct(range(r + 1), repeat=r + 1):
-        p = SizeProfile(r, counts[:-1], counts[-1])
-        if not p.empty:
-            yield p
+    for counts in iterproduct(*choices):
+        if any(counts):
+            yield SizeProfile(r, counts[:-1], counts[-1])
+
+
+def enumerate_profiles(r: int):
+    """Every profile of the given rank except the unrealizable empty one."""
+    return _profiles(r, [range(r + 1)] * (r + 1))
+
+
+_COUNTS_BY_SIDE = {"left": (1,), "right": (0,), None: (0, 1)}
 
 
 def admissible_profiles(r: int, pair: OraclePair, stage: int):
@@ -359,21 +368,8 @@ def admissible_profiles(r: int, pair: OraclePair, stage: int):
     left side must occur, one known on the right side must not. Unknown
     memberships leave both options open.
     """
-    choices = []
-    for s in range(1, r + 1):
-        left = pair.query("left", s, stage).status
-        right = pair.query("right", s, stage).status
-        if left == "in":
-            choices.append((1,))
-        elif right == "in":
-            choices.append((0,))
-        else:
-            choices.append((0, 1))
-    for small in iterproduct(*choices):
-        for large in range(r + 1):
-            p = SizeProfile(r, small, large)
-            if not p.empty:
-                yield p
+    return _profiles(r, [_COUNTS_BY_SIDE[pair.side_of(s, stage)] for s in range(1, r + 1)]
+                     + [range(r + 1)])
 
 
 # --- decisions -----------------------------------------------------------
@@ -402,14 +398,14 @@ def decide(phi: Formula, pair: OraclePair, stage: int) -> Decision:
     unknown-at-this-stage otherwise. Admissible sets only shrink as the
     stage grows, so provable and refutable verdicts never flip.
     """
-    rel, r, free, keyed = _read_sentence(phi)
+    _, r, free, keyed = _read_sentence(phi)
     if free:
         raise WrongLanguageError("decide wants a sentence, not an open formula")
     r = max(r, 1)
     memo = (keyed, {})
     example_true = example_false = None
     for p in admissible_profiles(r, pair, stage):
-        value = eval_on_blocks(_profile_blocks(p), phi, rel, _memo=memo)
+        value = eval_on_blocks(_profile_blocks(p), phi, _memo=memo)
         if value and example_true is None:
             example_true = p
         if not value and example_false is None:
@@ -475,18 +471,20 @@ class NormalForm:
         return "\n or ".join(lines)
 
 
-def normal_form(phi: Formula, r: int) -> NormalForm:
+def normal_form(phi: Formula, r: int | None = None) -> NormalForm:
     """Disjunction over the satisfying capped histograms at rank >= rank(phi).
 
     Oracle admissibility plays no part here; this is pure logic. The
-    effective rank is at least 1. Each satisfying profile becomes one
-    conjunction of size literals: exact counts below the cap, at-least
-    at the cap.
+    profile rank r defaults to the sentence's rank; the effective rank is
+    at least 1. Each satisfying profile becomes one conjunction of size
+    literals: exact counts below the cap, at-least at the cap.
     """
-    rel, actual, free, keyed = _read_sentence(phi)
+    _, actual, free, keyed = _read_sentence(phi)
     if free:
         raise WrongLanguageError("normal_form wants a sentence")
-    if r < actual:
+    if r is None:
+        r = actual
+    elif r < actual:
         raise ProfileError(f"rank {r} below the sentence's rank {actual}")
     if r > MAX_RANK:
         raise ProfileError(f"rank {r} above the largest supported rank {MAX_RANK}")
@@ -494,6 +492,6 @@ def normal_form(phi: Formula, r: int) -> NormalForm:
     memo = (keyed, {})
     disjuncts = []
     for p in enumerate_profiles(r):
-        if eval_on_blocks(_profile_blocks(p), phi, rel, _memo=memo):
+        if eval_on_blocks(_profile_blocks(p), phi, _memo=memo):
             disjuncts.append(_profile_literals(p))
     return NormalForm(r, tuple(disjuncts))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .eqdecide import decide
+from .eqdecide import PROVABLE, REFUTABLE, decide
 from .errors import WorkbenchError
 from .machines import OraclePair
 from .proofs import search_proof
@@ -21,8 +21,6 @@ from .syntax import KIND_RELATION, Formula, Not, Rel
 from .theories import Theory, numeral_value, predicate_atom, size_exists
 
 
-PROVABLE = "provable"
-REFUTABLE = "refutable"
 DONT_KNOW = "dontknow"
 
 _ANSWERS = (PROVABLE, REFUTABLE, DONT_KNOW)
@@ -70,13 +68,10 @@ def table_decider(pair: OraclePair, stage: int) -> DeciderHandle:
         if got is None:
             return DONT_KNOW
         n, positive = got
-        side = "left" if positive else "right"
-        if pair.query(side, n, stage).status == "in":
-            return PROVABLE
-        other = pair.query("right" if positive else "left", n, stage).status
-        if other == "in":
-            return REFUTABLE
-        return DONT_KNOW
+        side = pair.side_of(n, stage)
+        if side is None:
+            return DONT_KNOW
+        return PROVABLE if (side == "left") == positive else REFUTABLE
 
     return DeciderHandle("table", stage, fn)
 
@@ -107,9 +102,9 @@ def equivalence_decider(pair: OraclePair, stage: int) -> DeciderHandle:
             n, positive = got
             phi = size_exists(n)
         verdict = decide(phi, pair, stage).kind
-        if verdict == "provable":
+        if verdict == PROVABLE:
             return PROVABLE if positive else REFUTABLE
-        if verdict == "refutable":
+        if verdict == REFUTABLE:
             return REFUTABLE if positive else PROVABLE
         return DONT_KNOW
 
@@ -159,11 +154,10 @@ def independence_search(pair: OraclePair, decider: DeciderHandle,
             xs.append(n)
         if neg == PROVABLE:
             ys.append(n)
-        left = pair.query("left", n, stage).status
-        right = pair.query("right", n, stage).status
-        if right == "in" and pos in (PROVABLE,) or left == "in" and pos == REFUTABLE:
+        side = pair.side_of(n, stage)
+        if side == "right" and pos == PROVABLE or side == "left" and pos == REFUTABLE:
             conflicts.append(f"atom at {n}: answer {pos} against oracle")
-        if left == "in" and neg in (PROVABLE,) or right == "in" and neg == REFUTABLE:
+        if side == "left" and neg == PROVABLE or side == "right" and neg == REFUTABLE:
             conflicts.append(f"negated atom at {n}: answer {neg} against oracle")
 
     settled = set(xs) | set(ys)

@@ -255,16 +255,20 @@ class OraclePair:
         self._frontier = stage
         self._record(events)
 
+    def side_of(self, n: int, stage: int) -> str | None:
+        """'left' or 'right' when n has entered that side by `stage`, else None."""
+        self.check_stage(stage)
+        side, entered = self._entries.get(n, (None, 0))
+        if side is None or not self.finite and entered > stage:
+            return None
+        return "left" if side is self.left else "right"
+
     def query(self, side: str, n: int, stage: int) -> Membership:
         if side not in ("left", "right"):
             raise WorkbenchError(f"bad side {side!r}")
-        self.check_stage(stage)
-        entry = self._entries.get(n, (None, 0))
-        if entry[0] is getattr(self, side) and (self.finite or entry[1] <= stage):
+        if self.side_of(n, stage) == side:
             return Membership("in")
-        if self.finite:
-            return Membership("out")
-        return Membership("unknown")
+        return Membership("out" if self.finite else "unknown")
 
 
 def canonical_pair() -> OraclePair:

@@ -140,7 +140,7 @@ def translate_formula(translation: Translation, phi: Formula) -> Formula:
 
     def flatten(t: Term, env, bindings) -> str:
         if isinstance(t, Var):
-            return env[t.name]
+            return env.get(t.name, t.name)
         argvars = [flatten(a, env, bindings) for a in t.args]
         out = fresh()
         bindings.append((out, t.name, argvars))
@@ -180,8 +180,7 @@ def translate_formula(translation: Translation, phi: Formula) -> Formula:
             return Exists(inner, And(translation.guard(inner), body))
         raise TranslationError(f"not a formula: {f!r}")
 
-    env = {v: v for v in free_variables(phi)}
-    return rec(phi, env)
+    return rec(phi, {})
 
 
 # --- obligations ------------------------------------------------------------
@@ -199,7 +198,7 @@ def _totality_sentence(translation: Translation, name: str, arity: int) -> Formu
     return body
 
 
-def _equality_axioms(source: Language, used_funs, used_rels) -> list[Formula]:
+def _equality_axioms(used_funs, used_rels) -> list[Formula]:
     x, y = Var("x"), Var("y")
     out = [
         ForAll("x", Eq(x, x)),
@@ -247,7 +246,7 @@ def obligations(translation: Translation, theory, first_k: int) -> list[Formula]
         out.append(_totality_sentence(translation, name, used_funs[name]))
     for ax in axioms:
         out.append(translate_formula(translation, ax))
-    for eq_ax in _equality_axioms(translation.source, used_funs, used_rels):
+    for eq_ax in _equality_axioms(used_funs, used_rels):
         out.append(translate_formula(translation, eq_ax))
     seen = set()
     unique = []

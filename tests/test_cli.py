@@ -345,6 +345,17 @@ def test_stress_rows(capsys):
     )
 
 
+@pytest.mark.parametrize("decider, pair, want", [
+    ("foo", [], "unknown decider 'foo'"),
+    ("foo", ["--pair", "canonical"], "unknown decider 'foo'"),
+    ("table", [], "decider 'table' needs --pair"),
+    ("equivalence", [], "decider 'equivalence' needs --pair"),
+])
+def test_stress_names_what_its_decider_lacks(capsys, decider, pair, want):
+    assert main(["stress", "--theory", "R", "--decider", decider, *pair]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["axioms", "R", "--count", "-2"],
     ["obligations", "--translation", "t", "--theory", "R", "--first-k", "-1"],
@@ -494,6 +505,7 @@ def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeyp
         ["translate", "--translation", str(tr_path), "--text", "(= (S 0) 0)"],
         ["godel", "--decode", "216"],  # (not true)
         ["decide", "--sentence", str(sentence), "--pair", "canonical"],
+        ["normal-form", "--sentence", str(sentence)],
     ]
     plain = []
     for argv in verbs:
@@ -507,7 +519,8 @@ def test_formula_size_is_computed_only_for_the_summary(tmp_path, capsys, monkeyp
             raise AssertionError(f"{name} called without --summary")
         return summary_only
 
-    # decide's rank is a second read of the sentence, wanted only for the summary
+    # decide's rank is a second read of the sentence, wanted only for the
+    # summary; normal-form takes its default rank from its own read
     monkeypatch.setattr(weakarith.cli, "formula_size", refuse("formula_size"))
     monkeypatch.setattr(weakarith.cli, "rank", refuse("rank"))
     for argv, want in zip(verbs, plain):

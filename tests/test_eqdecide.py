@@ -291,10 +291,10 @@ def old_prelude(phi):
 
 
 def plain_decide(phi, pair, stage):
-    rel, free, r = old_prelude(phi)
+    _, free, r = old_prelude(phi)
     if free:
         raise WrongLanguageError("decide wants a sentence, not an open formula")
-    values = [(p, eval_on_blocks(_profile_blocks(p), phi, rel))
+    values = [(p, eval_on_blocks(_profile_blocks(p), phi))
               for p in admissible_profiles(max(r, 1), pair, stage)]
     example_true = next((p for p, v in values if v), None)
     example_false = next((p for p, v in values if not v), None)
@@ -307,7 +307,7 @@ def plain_decide(phi, pair, stage):
 
 
 def plain_normal_form(phi, r):
-    rel, free, actual = old_prelude(phi)
+    _, free, actual = old_prelude(phi)
     if free:
         raise WrongLanguageError("normal_form wants a sentence")
     if r < actual:
@@ -315,7 +315,7 @@ def plain_normal_form(phi, r):
     r = max(r, 1)
     return eqdecide.NormalForm(r, tuple(
         _profile_literals(p) for p in enumerate_profiles(r)
-        if eval_on_blocks(_profile_blocks(p), phi, rel)))
+        if eval_on_blocks(_profile_blocks(p), phi)))
 
 
 def outcome(fn, *args):
@@ -403,9 +403,9 @@ def test_no_memo_outlives_its_call(monkeypatch, request):
     memos = []
     plain = eqdecide.eval_on_blocks
 
-    def spy(blocks, phi, rel="E", *, _memo=None):
+    def spy(blocks, phi, *, _memo=None):
         memos.append(_memo)
-        return plain(blocks, phi, rel, _memo=_memo)
+        return plain(blocks, phi, _memo=_memo)
 
     monkeypatch.setattr(eqdecide, "eval_on_blocks", spy)
     pair = parse_pair_spec("finite B={1} C={3}")

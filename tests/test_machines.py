@@ -113,6 +113,8 @@ def test_membership_trichotomy():
     assert pair.query("left", 1, 0).status == "in"
     assert pair.query("left", 2, 0).status == "out"
     assert pair.query("right", 2, 0).status == "in"
+    assert pair.side_of(2, 0) == "right"
+    assert pair.side_of(4, 0) is None
 
 
 def test_canonical_pair_goldens():
@@ -168,6 +170,8 @@ def test_canonical_pair_matches_brute_force_in_any_order(stages):
             for side, members in (("left", left), ("right", right)):
                 want = "in" if n in members else "unknown"
                 assert pair.query(side, n, stage).status == want
+            assert pair.side_of(n, stage) == (
+                "left" if n in left else "right" if n in right else None)
 
 
 def test_late_halter_enters_at_its_halt_step():
