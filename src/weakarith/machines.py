@@ -11,9 +11,24 @@ Program counter past the last instruction also halts. Executed inc/decjz
 instructions each cost one step; reaching halt (or falling off the end) is
 free, so the empty program halts within 0 steps. A `MachineRun` holds the
 state of one run (program counter, registers, steps used) and can stop after
-any number of steps and resume later; `run_bounded` is a fresh run. A run
-that reaches a `decjz r t` jumping to itself with r zero can never leave it,
-so it spends its whole remaining budget at once instead of step by step.
+any number of steps and resume later; `run_bounded` is a fresh run.
+
+Loop acceleration. Only the zero branch of a `decjz` can move the program
+counter backward, so every loop closes with such a jump, to some target t.
+From one backward jump to t to the next, the run records one iteration: its
+length L in steps, the register delta D over it, and each `decjz` test on
+the way as (register, value). The i-th iteration after it takes the same path
+and adds D again as long as every zero test stays zero (D[r] = 0) and every
+nonzero test with value v stays nonzero (v + i*D[r] >= 1). So the next
+k = min(budget // L, (v - 1) // -D[r] over the nonzero tests with D[r] < 0)
+iterations, or none if a zero-tested register has D[r] != 0, are taken in one
+jump (registers += k*D, budget -= k*L), and the run steps on from there.
+Between two backward jumps the counter only moves forward, so an iteration
+runs each instruction at most once and its record stays that small. Each jump
+lands where plain stepping would, so the state after any budget, split into
+any resumed chunks, is exactly plain stepping's. When no test bounds k (every
+zero-tested register has D = 0 and every nonzero-tested one D >= 0) the loop
+repeats forever: the run can never halt, and `never_halts` says so.
 
 Program numbering:
 
@@ -29,7 +44,8 @@ Staged pairs record each element once, with its side and its entry stage
 (the first stage that enumerates it); a side at stage s holds the elements
 that entered by s. In the canonical pair program e enters at max(e, halt
 step) of its run on input e, left on output 0 and right on output 1. A finite
-pair's elements enter at stage 0 and it is complete at every stage. Sides
+pair's elements enter at stage 0 and it is complete at every stage. A run
+proven never to halt enters neither side, so the canonical pair drops it. Sides
 only grow, as entry stages never change, and stay disjoint, as a run halts
 once with one output; recording an element on both sides, as an overlapping
 finite spec would, raises StageDisjointnessError.
@@ -71,7 +87,7 @@ HALT_INSTR: Instruction = (HALT,)
 class MachineRun:
     """A run of a program on one input that can stop and resume."""
 
-    __slots__ = ("instructions", "pc", "registers", "steps")
+    __slots__ = ("instructions", "pc", "registers", "steps", "never_halts")
 
     def __init__(self, program: Program, input_value: int):
         self.instructions = instrs = program.instructions
@@ -79,6 +95,7 @@ class MachineRun:
         self.registers[1] = input_value
         self.pc = 0
         self.steps = 0
+        self.never_halts = False
 
     def advance(self, steps: int) -> int | None:
         """Run at most `steps` more steps; r0 once the machine has halted, else None."""
@@ -88,6 +105,9 @@ class MachineRun:
         pc = self.pc
         left = steps
         halted = True
+        # the iteration being recorded: its start target, registers and budget
+        # there, and its decjz tests as (register, value)
+        anchor, start, mark, tests = -1, None, 0, []
         while pc < n:
             op = instrs[pc]
             kind = op[0]
@@ -100,18 +120,41 @@ class MachineRun:
             if kind == INC:
                 regs[op[1]] += 1
                 pc += 1
-            else:  # decjz
-                r = op[1]
-                if regs[r] == 0:
-                    if op[2] == pc:
-                        # jumps to itself with r still zero: nothing can
-                        # change again, so the rest of the budget is spent
-                        left = 0
-                        continue
-                    pc = op[2]
-                else:
-                    regs[r] -= 1
-                    pc += 1
+                continue
+            r = op[1]
+            v = regs[r]
+            tests.append((r, v))
+            if v:
+                regs[r] = v - 1
+                pc += 1
+                continue
+            t = op[2]
+            if t > pc:
+                pc = t
+                continue
+            if t == anchor:
+                delta = [b - a for a, b in zip(start, regs)]
+                length = mark - left
+                k = left // length
+                bounded = False
+                for r, v in tests:
+                    d = delta[r]
+                    if not v:
+                        if d:
+                            k = 0
+                            bounded = True
+                            break
+                    elif d < 0:
+                        k = min(k, (v - 1) // -d)
+                        bounded = True
+                if not bounded:
+                    self.never_halts = True
+                if k > 0:
+                    for r, d in enumerate(delta):
+                        regs[r] += k * d
+                    left -= k * length
+            anchor, start, mark, tests = t, regs[:], left, []
+            pc = t
         self.pc = pc
         self.steps += steps - left
         return regs[0] if halted else None
@@ -237,7 +280,8 @@ class OraclePair:
     def check_stage(self, stage: int) -> None:
         """Extend the canonical record to `stage`: start the programs above
         the old frontier, resume every pending run up to `stage` steps. A run
-        that halts enters above the old frontier, so its event sorts last.
+        that halts enters above the old frontier, so its event sorts last. A
+        run proven never to halt is dropped and never resumed again.
         """
         if self.finite or stage <= self._frontier:
             return
@@ -247,7 +291,7 @@ class OraclePair:
         events = []
         for e, run in list(runs.items()):
             out = run.advance(stage - run.steps)
-            if out is not None:
+            if out is not None or run.never_halts:
                 del runs[e]
                 if out in (0, 1):
                     events.append((max(e, run.steps), e, self.right if out else self.left))

@@ -205,6 +205,17 @@ def test_run_machine_by_code(capsys):
     assert capsys.readouterr().out == "did not halt within 50 steps\n"
 
 
+def test_run_machine_transfer_loop_halts_exactly_at_its_budget(tmp_path, capsys):
+    # the loop copies r1 into r0 in three steps a pass and halts after 3x + 1
+    program = tmp_path / "transfer.prog"
+    program.write_text("decjz 1 3\ninc 0\ndecjz 2 0\nhalt\n")
+    argv = ["run-machine", "--program", str(program), "--input", "1000000", "--steps"]
+    assert main(argv + ["3000001"]) == 0
+    assert capsys.readouterr().out == "halted output=1000000\n"
+    assert main(argv + ["3000000"]) == 1
+    assert capsys.readouterr().out == "did not halt within 3000000 steps\n"
+
+
 def _one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err

@@ -3,7 +3,7 @@
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weakarith.errors import FormatError
 from weakarith.machines import (
@@ -248,3 +248,127 @@ def test_self_jump_fast_forward_matches_plain_stepping(instrs, x, chunks):
         state, want = _reference_advance(state, instrs, chunk)
         assert got == want
         assert (run.pc, run.registers, run.steps) == state
+
+
+# --- loop acceleration ----------------------------------------------------------
+
+def _placed(ops):
+    """Ops with jumps given as offsets: 'back' k jumps k instructions back."""
+    n = len(ops)
+    return tuple(("decjz", op[1], max(0, i - op[2])) if op[0] == "back"
+                 else ("decjz", op[1], min(n, i + op[2])) if op[0] == "fwd"
+                 else op for i, op in enumerate(ops))
+
+
+_ZERO = 3  # never incremented, so a decjz on it is a plain jump
+
+
+def _compiled(block, out):
+    """Append the instructions of a block of structured statements to `out`."""
+    for stmt in block:
+        at = len(out)
+        if stmt[0] == "while":  # at: decjz r end; body; jump at
+            out.append(None)
+            _compiled(stmt[2], out)
+            out.append(("decjz", _ZERO, at))
+            out[at] = ("decjz", stmt[1], len(out))
+        elif stmt[0] == "ifz":  # at: decjz r then; else body; jump end; then body
+            out.append(None)
+            _compiled(stmt[3], out)
+            jump = len(out)
+            out.append(None)
+            out[at] = ("decjz", stmt[1], len(out))
+            _compiled(stmt[2], out)
+            out[jump] = ("decjz", _ZERO, len(out))
+        elif stmt[0] == "loop":  # body; jump at
+            _compiled(stmt[1], out)
+            out.append(("decjz", _ZERO, at))
+        else:
+            out.append(stmt)
+    return out
+
+
+_blocks = st.recursive(
+    st.one_of(st.tuples(st.just("inc"), st.integers(0, 2)), st.just(("halt",))),
+    lambda inner: st.one_of(
+        st.tuples(st.just("while"), st.integers(0, 2), st.lists(inner, max_size=3)),
+        st.tuples(st.just("ifz"), st.integers(0, 2),
+                  st.lists(inner, max_size=3), st.lists(inner, max_size=3)),
+        st.tuples(st.just("loop"), st.lists(inner, max_size=3)),
+    ),
+    max_leaves=10,
+)
+
+_looping = st.one_of(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("inc"), st.integers(0, 3)),
+            st.tuples(st.just("back"), st.integers(0, 3), st.integers(0, 7)),
+            st.tuples(st.just("back"), st.integers(0, 3), st.integers(0, 7)),
+            st.tuples(st.just("fwd"), st.integers(0, 3), st.integers(1, 8)),
+            st.just(("halt",)),
+        ),
+        min_size=1, max_size=8,
+    ).map(_placed),
+    st.lists(_blocks, min_size=1, max_size=4).map(lambda block: tuple(_compiled(block, []))),
+)
+
+
+# copies r1 into r0 in three steps a pass, so it halts after exactly 3x + 1
+_TRANSFER = Program((decjz(1, 3), inc(0), decjz(2, 0), ("halt",)))
+
+
+@settings(max_examples=200)
+@given(_looping, st.integers(0, 50), st.lists(st.integers(0, 3000), min_size=1, max_size=6))
+# a loop whose passes alternate between the zero and nonzero branch of one
+# test, which drawn programs rarely reach
+@example(instrs=(("decjz", 0, 2), ("decjz", 3, 3), ("inc", 0), ("decjz", 3, 0)),
+         x=0, chunks=[100])
+@example(instrs=_TRANSFER.instructions, x=50, chunks=[150, 1, 1])
+def test_accelerated_loops_match_plain_stepping(instrs, x, chunks):
+    # backward targets close loops, nested ones too; a run that claims it
+    # never halts must still be running 5,000 steps later
+    run = MachineRun(Program(instrs), x)
+    state = (0, list(run.registers), 0)
+    for chunk in chunks:
+        got = run.advance(chunk)
+        state, want = _reference_advance(state, instrs, chunk)
+        assert got == want
+        assert (run.pc, run.registers, run.steps) == state
+        if run.never_halts:
+            assert got is None
+            later = (state[0], list(state[1]), state[2])
+            assert _reference_advance(later, instrs, 5000)[1] is None
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 17, 50, 10**6])
+def test_transfer_loop_halts_after_exactly_3x_plus_1_steps(x):
+    run = MachineRun(_TRANSFER, x)
+    assert run.advance(3 * x) is None
+    assert (run.pc, run.registers, run.steps) == (0, [x, 0, 0], 3 * x)
+    assert run.advance(1) == x and run.steps == 3 * x + 1
+    assert run_bounded(_TRANSFER, x, 3 * x) is None
+    assert run_bounded(_TRANSFER, x, 3 * x + 1) == x
+    assert not run.never_halts
+
+
+def test_dropped_runs_never_halt():
+    pair = canonical_pair()
+    for stage in range(0, 401, 40):
+        pair.check_stage(stage)
+    entered = set(pair.left.at(400) | pair.right.at(400))
+    retired = 0
+    for e in range(401):
+        if e in pair._runs or e in entered:
+            continue
+        program = decode_program(e)
+        start = (0, MachineRun(program, e).registers, 0)
+        (_, _, used), out = _reference_advance(start, program.instructions, 5000)
+        # dropped: halted by stage 400 with an output of neither side, or retired
+        if out is None:
+            retired += 1
+        else:
+            assert used <= 400 and out not in (0, 1)
+    assert retired > 100
+    pair.check_stage(600)
+    assert len(pair._runs) < 20
