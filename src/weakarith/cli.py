@@ -25,10 +25,10 @@ from .experiments import (
 )
 from .godel import NotACode, godel_decode, godel_encode
 from .machines import (
+    MachineRun,
     decode_program,
     load_pair_spec,
     parse_program,
-    run_bounded,
 )
 from .modelsearch import model_search
 from .proofs import InvalidStepError, check_proof, format_proof, parse_proof, search_proof
@@ -196,13 +196,14 @@ def _do_run_machine(args) -> int:
         program = parse_program(read_text(args.program))
     else:
         program = decode_program(args.code)
-    result = run_bounded(program, args.input, args.steps)
+    run = MachineRun(program, args.input)
+    result = run.advance(args.steps)
     if result is None:
         print(f"did not halt within {args.steps} steps")
-        _summary(args, halted=0, steps=args.steps)
+        _summary(args, halted=0, steps=run.steps)
         return DOMAIN_FAIL
     print(f"halted output={result}")
-    _summary(args, halted=1, output=result, steps=args.steps)
+    _summary(args, halted=1, output=result, steps=run.steps)
     return USAGE_OK
 
 

@@ -96,14 +96,20 @@ def equivalence_decider(pair: OraclePair, stage: int) -> DeciderHandle:
     harnesses. That sentence has rank n + 1 and `decide` has no rank cap,
     so each index costs about seven times the one before: an independence
     search up to index 6 takes about seven times as long as one up to 5.
+    An atom and its negation share one decision: the handle keeps each
+    sentence's verdict for as long as it lives, and no longer.
     """
+    verdicts: dict[Formula, str] = {}
+
     def fn(phi: Formula) -> str:
         positive = True
         got = classify_predicate_literal(phi)
         if got is not None:
             n, positive = got
             phi = size_exists(n)
-        verdict = decide(phi, pair, stage).kind
+        verdict = verdicts.get(phi)
+        if verdict is None:
+            verdict = verdicts[phi] = decide(phi, pair, stage).kind
         if verdict == PROVABLE:
             return PROVABLE if positive else REFUTABLE
         if verdict == REFUTABLE:

@@ -72,14 +72,16 @@ def _bounded(code: int) -> int:
 
 def pair(a: int, b: int) -> int:
     s = a + b
-    return s * (s + 1) // 2 + a
+    # s * s, not s * (s + 1): CPython squares a number faster than it
+    # multiplies two different ones
+    return (s * s + s >> 1) + a
 
 
 def unpair(c: int) -> tuple[int, int]:
     if c < 0:
         raise NotACode("negative code")
     w = (isqrt(8 * c + 1) - 1) // 2
-    a = c - w * (w + 1) // 2
+    a = c - (w * w + w >> 1)
     return a, w - a
 
 

@@ -225,11 +225,11 @@ def _class_is(owner: str, names: list[str], w: str) -> Formula:
     w is the bound variable of the closure clause; `owner` may itself be
     one of the names.
     """
-    related = [_erel(Var(owner), Var(nm)) for nm in names]
-    distinct = [neq(Var(names[i]), Var(names[j]))
-                for i in range(len(names)) for j in range(i + 1, len(names))]
-    closure = ForAll(w, Implies(_erel(Var(owner), Var(w)),
-                                or_all([Eq(Var(w), Var(nm)) for nm in names])))
+    xs = [Var(nm) for nm in names]
+    o, y = Var(owner), Var(w)
+    related = [Rel(EQREL, (o, x)) for x in xs]
+    distinct = [Not(Eq(a, b)) for i, a in enumerate(xs) for b in xs[i + 1:]]
+    closure = ForAll(w, Implies(Rel(EQREL, (o, y)), or_all([Eq(y, x) for x in xs])))
     return _exists_many(names, and_all(related + distinct + [closure]))
 
 

@@ -205,6 +205,15 @@ def test_run_machine_by_code(capsys):
     assert capsys.readouterr().out == "did not halt within 50 steps\n"
 
 
+def test_run_machine_summary_reports_the_steps_used(capsys):
+    # code 5 is inc 0; halt: one step, however large the budget
+    assert main(["run-machine", "--code", "5", "--steps", "100", "--summary"]) == 0
+    assert capsys.readouterr().out == "halted output=1\nsummary: halted=1 output=1 steps=1\n"
+    assert main(["run-machine", "--code", "6216", "--steps", "50", "--summary"]) == 1
+    assert capsys.readouterr().out == \
+        "did not halt within 50 steps\nsummary: halted=0 steps=50\n"
+
+
 def test_run_machine_transfer_loop_halts_exactly_at_its_budget(tmp_path, capsys):
     # the loop copies r1 into r0 in three steps a pass and halts after 3x + 1
     program = tmp_path / "transfer.prog"

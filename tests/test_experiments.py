@@ -1,7 +1,10 @@
 """Independence hunts and essential-undecidability stress runs."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from weakarith import experiments
+from weakarith.eqdecide import decide
 from weakarith.experiments import (
     DONT_KNOW,
     PROVABLE,
@@ -18,7 +21,7 @@ from weakarith.experiments import (
 )
 from weakarith.machines import canonical_pair, parse_pair_spec
 from weakarith.syntax import Not
-from weakarith.theories import get_theory, make_u_theory
+from weakarith.theories import get_theory, make_u_theory, size_exists
 
 
 def test_predicate_literal_classifier():
@@ -114,3 +117,57 @@ def test_stress_flags_decider_that_refutes_an_axiom():
     report = stress_essential_undecidability(theory, handle, 3, axiom_scan=40)
     assert any(n == 1 for n, _ in report.inconsistent)
     assert any(row.note == "conflicts axiom" for row in report.rows)
+
+
+def _memo_free_equivalence_decider(pair, stage):
+    """experiments.equivalence_decider as it was: one decide per ask."""
+    def fn(phi):
+        positive = True
+        got = classify_predicate_literal(phi)
+        if got is not None:
+            n, positive = got
+            phi = size_exists(n)
+        verdict = decide(phi, pair, stage).kind
+        if verdict == PROVABLE:
+            return PROVABLE if positive else REFUTABLE
+        if verdict == REFUTABLE:
+            return REFUTABLE if positive else PROVABLE
+        return DONT_KNOW
+
+    return DeciderHandle("equivalence", stage, fn)
+
+
+def _decide_calls(monkeypatch):
+    calls = []
+
+    def spy(phi, pair, stage):
+        calls.append(phi)
+        return decide(phi, pair, stage)
+
+    monkeypatch.setattr(experiments, "decide", spy)
+    return calls
+
+
+def _check_one_decide_per_index(monkeypatch, pair, stage, n_max):
+    calls = _decide_calls(monkeypatch)
+    got = independence_search(pair, equivalence_decider(pair, stage), n_max, stage)
+    assert calls == [size_exists(n) for n in range(n_max + 1)]
+    want = independence_search(pair, _memo_free_equivalence_decider(pair, stage),
+                               n_max, stage)
+    assert got == want
+
+
+@given(st.lists(st.sampled_from(["B", "C", None]), max_size=6),
+       st.integers(0, 3), st.integers(0, 3))
+def test_equivalence_decider_decides_each_index_once(sides, stage, n_max):
+    spec = "finite " + " ".join(
+        f"{side}={{{','.join(str(n) for n, s in enumerate(sides) if s == side)}}}"
+        for side in "BC")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_one_decide_per_index(monkeypatch, parse_pair_spec(spec), stage, n_max)
+
+
+@pytest.mark.parametrize("stage", [0, 5, 40, 300])
+def test_equivalence_decider_decides_each_index_once_on_the_canonical_pair(
+        monkeypatch, stage):
+    _check_one_decide_per_index(monkeypatch, canonical_pair(), stage, 3)

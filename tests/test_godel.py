@@ -1,7 +1,9 @@
 """Formula numbering: pairing arithmetic and the tree codec."""
 
+from math import isqrt
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weakarith.godel import NotACode, godel_decode, godel_encode, pair, unpair
 from weakarith.godel import _encode_str
@@ -28,6 +30,36 @@ def test_pair_unpair_inverse_small():
        st.integers(min_value=0, max_value=10**30))
 def test_pair_inverse_property(a, b):
     assert unpair(pair(a, b)) == (a, b)
+
+
+def _closed_pair(a, b):
+    return (a + b) * (a + b + 1) // 2 + a
+
+
+def _closed_unpair(c):
+    w = (isqrt(8 * c + 1) - 1) // 2
+    a = c - w * (w + 1) // 2
+    return a, w - a
+
+
+# naturals of up to 10^5 bits, as large as the operands of big codes
+_naturals = st.one_of(
+    st.integers(min_value=0, max_value=10**30),
+    st.builds(lambda bits, rng: rng.getrandbits(bits),
+              st.integers(1, 10**5), st.randoms(use_true_random=False)))
+
+_BIG = (1 << 10**5) - 1
+
+
+@given(_naturals, _naturals, _naturals)
+@example(_BIG, _BIG, _BIG)
+@example(_BIG // 3, 0, 1 << (10**5 - 1))
+@example(0, _BIG // 7, _closed_pair(_BIG // 5, 12345))
+def test_pair_and_unpair_match_the_closed_forms(a, b, c):
+    code = pair(a, b)
+    assert code == _closed_pair(a, b)
+    assert unpair(code) == (a, b)
+    assert unpair(c) == _closed_unpair(c)
 
 
 def test_string_code_golden():

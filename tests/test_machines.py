@@ -195,10 +195,22 @@ _instructions = st.one_of(
 )
 
 
-@given(st.lists(_instructions, max_size=7), st.integers(0, 5),
-       st.lists(st.integers(0, 40), max_size=8))
+# inputs are mostly positive, every run gets at least one chunk, and some
+# programs are the loop-shaped ones of the acceleration tests below, so loops
+# run long enough to be accelerated and to leave an accelerated stretch
+_inputs = st.integers(0, 30)
+_chunks = st.lists(st.integers(0, 300), min_size=1, max_size=8)
+_some_looping = st.deferred(lambda: _looping)
+# copies r1 into r0 in three steps a pass, so it halts after exactly 3x + 1
+_TRANSFER = Program((decjz(1, 3), inc(0), decjz(2, 0), ("halt",)))
+_TRANSFER_EXAMPLE = dict(instrs=_TRANSFER.instructions, x=7, chunks=[40])
+
+
+@given(st.one_of(st.lists(_instructions, max_size=7).map(tuple), _some_looping),
+       _inputs, _chunks)
+@example(**_TRANSFER_EXAMPLE)
 def test_resumed_run_ends_where_one_shot_run_ends(instrs, x, chunks):
-    program = Program(tuple(instrs))
+    program = Program(instrs)
     resumed = MachineRun(program, x)
     for chunk in chunks:
         got = resumed.advance(chunk)
@@ -206,10 +218,12 @@ def test_resumed_run_ends_where_one_shot_run_ends(instrs, x, chunks):
     one_shot = MachineRun(program, x)
     want = one_shot.advance(total)
     assert want == run_bounded(program, x, total)
-    if chunks:
-        assert got == want
+    assert got == want
     assert (resumed.pc, resumed.registers, resumed.steps) == \
         (one_shot.pc, one_shot.registers, one_shot.steps)
+    state, plain = _reference_advance((0, MachineRun(program, x).registers, 0), instrs, total)
+    assert (one_shot.pc, one_shot.registers, one_shot.steps) == state
+    assert want == plain
 
 
 def _reference_advance(state, instrs, steps):
@@ -239,7 +253,8 @@ _with_self_jumps = st.lists(
                         for i, op in enumerate(ops)))
 
 
-@given(_with_self_jumps, st.integers(0, 5), st.lists(st.integers(0, 40), max_size=8))
+@given(st.one_of(_with_self_jumps, _some_looping), _inputs, _chunks)
+@example(**_TRANSFER_EXAMPLE)
 def test_self_jump_fast_forward_matches_plain_stepping(instrs, x, chunks):
     run = MachineRun(Program(instrs), x)
     state = (0, list(run.registers), 0)
@@ -312,10 +327,6 @@ _looping = st.one_of(
     ).map(_placed),
     st.lists(_blocks, min_size=1, max_size=4).map(lambda block: tuple(_compiled(block, []))),
 )
-
-
-# copies r1 into r0 in three steps a pass, so it halts after exactly 3x + 1
-_TRANSFER = Program((decjz(1, 3), inc(0), decjz(2, 0), ("halt",)))
 
 
 @settings(max_examples=200)

@@ -2,19 +2,24 @@
 
 import pytest
 
+from weakarith import theories
 from weakarith.errors import FormatError
 from weakarith.machines import parse_pair_spec
 from weakarith.sexpr import parse_formula, print_formula
 from weakarith.syntax import (
     App,
     Eq,
+    Exists,
     ForAll,
     Implies,
     Not,
     Rel,
     Var,
+    and_all,
     free_variables,
     is_sentence,
+    neq,
+    or_all,
     validate_formula,
 )
 from weakarith.theories import (
@@ -130,6 +135,38 @@ def test_size_unique_needs_positive_size():
     from weakarith.theories import SchemeError
     with pytest.raises(SchemeError):
         size_unique(0)
+
+
+def _old_class_is(owner, names, w):
+    """theories._class_is as it was: two fresh Vars and a neq call per atom."""
+    related = [Rel("E", (Var(owner), Var(nm))) for nm in names]
+    distinct = [neq(Var(names[i]), Var(names[j]))
+                for i in range(len(names)) for j in range(i + 1, len(names))]
+    closure = ForAll(w, Implies(Rel("E", (Var(owner), Var(w))),
+                                or_all([Eq(Var(w), Var(nm)) for nm in names])))
+    body = and_all(related + distinct + [closure])
+    for nm in reversed(names):
+        body = Exists(nm, body)
+    return body
+
+
+def test_class_size_sentences_match_the_old_builder(monkeypatch):
+    new_exists = [size_exists(n) for n in range(31)]
+    new_unique = [size_unique(n) for n in range(1, 31)]
+    monkeypatch.setattr(theories, "_class_is", _old_class_is)
+    for n in range(31):
+        assert size_exists(n) is new_exists[n], n
+    for n in range(1, 31):
+        assert size_unique(n) is new_unique[n - 1], n
+
+
+def test_e_theory_axioms_match_the_old_builder(monkeypatch):
+    spec = "E:finite B={1,3} C={2}"
+    new = [get_theory(spec).axiom_of(i) for i in range(200)]
+    monkeypatch.setattr(theories, "_class_is", _old_class_is)
+    old = get_theory(spec)
+    for i in range(200):
+        assert old.axiom_of(i) is new[i], i
 
 
 def test_u_theory_layout():
