@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .eqdecide import MAX_RANK, decide, normal_form, rank
+from .eqdecide import MAX_RANK, UNKNOWN, decide, normal_form, rank
 from .errors import FormatError, WorkbenchError, read_text
 from .experiments import (
     equivalence_decider,
@@ -79,12 +79,8 @@ def _do_axioms(args) -> int:
     return USAGE_OK
 
 
-def _load_translation(path: str):
-    return parse_translation(read_text(path))
-
-
 def _do_translate(args) -> int:
-    tr = _load_translation(args.translation)
+    tr = parse_translation(read_text(args.translation))
     phi = _parse_text(_text_arg(args), tr.source)
     out = translate_formula(tr, phi)
     print(print_formula(out))
@@ -94,7 +90,7 @@ def _do_translate(args) -> int:
 
 
 def _do_obligations(args) -> int:
-    tr = _load_translation(args.translation)
+    tr = parse_translation(read_text(args.translation))
     theory = get_theory(args.theory)
     sentences = obligations(tr, theory, args.first_k)
     for phi in sentences:
@@ -104,7 +100,7 @@ def _do_obligations(args) -> int:
 
 
 def _do_verify(args) -> int:
-    tr = _load_translation(args.translation)
+    tr = parse_translation(read_text(args.translation))
     theory = get_theory(args.theory)
     structure = parse_structure(read_text(args.structure))
     report = verify_semantic(tr, theory, structure, args.first_k)
@@ -158,7 +154,7 @@ def _do_decide(args) -> int:
     pair = load_pair_spec(args.pair)
     decision = decide(phi, pair, args.stage)
     label = decision.kind.capitalize()
-    if decision.kind == "unknown":
+    if decision.kind == UNKNOWN:
         label = f"Unknown(stage={decision.stage})"
     print(label)
     if args.witness:
@@ -330,106 +326,87 @@ def build_parser() -> argparse.ArgumentParser:
                         help="append one machine-readable summary line")
     subparsers = top.add_subparsers(dest="verb", required=True)
 
-    def verb(name, **kw):
-        return subparsers.add_parser(name, parents=[common], **kw)
+    def verb(name, run, **kw):
+        p = subparsers.add_parser(name, parents=[common], **kw)
+        p.set_defaults(run=run)
+        return p
 
-    def formula_io(p):
-        p.add_argument("--file", help="file holding one formula")
-        p.add_argument("--text", help="inline formula text")
-        p.add_argument("--lang", help="language or theory id")
+    p = verb("parse", _do_parse, help="parse and reprint a formula")
+    p.add_argument("--file", help="file holding one formula")
+    p.add_argument("--text", help="inline formula text")
+    p.add_argument("--lang", help="language or theory id")
 
-    p = verb("parse", help="parse and reprint a formula")
-    formula_io(p)
-    p.set_defaults(run=_do_parse)
-
-    p = verb("axioms", help="print a theory's axioms by index")
+    p = verb("axioms", _do_axioms, help="print a theory's axioms by index")
     p.add_argument("theory")
     p.add_argument("--count", type=_natural, default=10)
     p.add_argument("--start", type=int, default=0)
-    p.set_defaults(run=_do_axioms)
 
-    p = verb("translate", help="apply a translation to a formula")
+    p = verb("translate", _do_translate, help="apply a translation to a formula")
     p.add_argument("--translation", required=True)
     p.add_argument("--file")
     p.add_argument("--text")
-    p.set_defaults(run=_do_translate)
 
-    p = verb("obligations",
-                       help="print a translation's proof obligations")
+    p = verb("obligations", _do_obligations, help="print a translation's proof obligations")
     p.add_argument("--translation", required=True)
     p.add_argument("--theory", required=True)
     p.add_argument("--first-k", type=_natural, default=5)
-    p.set_defaults(run=_do_obligations)
 
-    p = verb("verify",
-                       help="evaluate obligations in a finite structure")
+    p = verb("verify", _do_verify, help="evaluate obligations in a finite structure")
     p.add_argument("--translation", required=True)
     p.add_argument("--theory", required=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--first-k", type=_natural, default=5)
-    p.set_defaults(run=_do_verify)
 
-    p = verb("find-model", help="search finite models by size")
+    p = verb("find-model", _do_find_model, help="search finite models by size")
     p.add_argument("--axioms", help="file with one sentence per line")
     p.add_argument("--theory", help="theory id (used with --first-k)")
     p.add_argument("--first-k", type=_natural, default=5)
     p.add_argument("--lang")
     p.add_argument("--max-size", type=_natural, required=True)
     p.add_argument("--symmetry-breaking", action="store_true")
-    p.set_defaults(run=_do_find_model)
 
-    p = verb("decide",
-                       help="decide a one-binary-relation sentence")
+    p = verb("decide", _do_decide, help="decide a one-binary-relation sentence")
     p.add_argument("--sentence", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--stage", type=_natural, default=0)
     p.add_argument("--lang")
     p.add_argument("--witness", action="store_true",
                    help="print witnessing profiles")
-    p.set_defaults(run=_do_decide)
 
-    p = verb("normal-form",
-                       help="size-literal normal form of a sentence")
+    p = verb("normal-form", _do_normal_form, help="size-literal normal form of a sentence")
     p.add_argument("--sentence", required=True)
     p.add_argument("--rank", type=int,
                    help="profile rank: at least the sentence's rank and "
                         f"at most {MAX_RANK} (default: the sentence's rank)")
     p.add_argument("--lang")
-    p.set_defaults(run=_do_normal_form)
 
-    p = verb("enumerate-pair",
-                       help="list both sides of a pair at a stage")
+    p = verb("enumerate-pair", _do_enumerate_pair, help="list both sides of a pair at a stage")
     p.add_argument("--pair", required=True)
     p.add_argument("--stage", type=_natural, default=0)
-    p.set_defaults(run=_do_enumerate_pair)
 
-    p = verb("run-machine", help="run a counter machine")
+    p = verb("run-machine", _do_run_machine, help="run a counter machine")
     p.add_argument("--program", help="program file")
     p.add_argument("--code", type=int, help="program code")
     p.add_argument("--input", type=_natural, default=0)
     p.add_argument("--steps", type=_natural, default=1000)
-    p.set_defaults(run=_do_run_machine)
 
-    p = verb("check-proof", help="validate a proof file")
+    p = verb("check-proof", _do_check_proof, help="validate a proof file")
     p.add_argument("--proof", required=True)
     p.add_argument("--theory", required=True)
-    p.set_defaults(run=_do_check_proof)
 
-    p = verb("search-proof", help="bounded proof search")
+    p = verb("search-proof", _do_search_proof, help="bounded proof search")
     p.add_argument("--theory", required=True)
     p.add_argument("--goal", required=True, help="file with the goal sentence")
     p.add_argument("--budget", type=_natural, default=1000)
     p.add_argument("--numeral-bound", type=_natural, default=2)
-    p.set_defaults(run=_do_search_proof)
 
-    p = verb("godel", help="encode or decode a formula number")
+    p = verb("godel", _do_godel, help="encode or decode a formula number")
     p.add_argument("--encode", help="file with the formula to number")
     p.add_argument("--decode", type=int, help="number to decode")
     p.add_argument("--lang")
-    p.set_defaults(run=_do_godel)
 
-    p = verb("independence",
-                       help="search for an index the decider cannot settle")
+    p = verb("independence", _do_independence,
+             help="search for an index the decider cannot settle")
     p.add_argument("--pair", required=True)
     p.add_argument("--decider", required=True,
                    help="table | equivalence | proof-search")
@@ -437,10 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=_natural, default=0)
     p.add_argument("--budget", type=_natural, default=1000)
     p.add_argument("--theory", help="theory id for the proof-search decider")
-    p.set_defaults(run=_do_independence)
 
-    p = verb("stress",
-                       help="drive a decider across a sentence family")
+    p = verb("stress", _do_stress, help="drive a decider across a sentence family")
     p.add_argument("--theory", required=True)
     p.add_argument("--decider", required=True)
     p.add_argument("--pair")
@@ -448,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_natural, default=1000)
     p.add_argument("--sentence-budget", type=_natural, default=5)
     p.add_argument("--axiom-scan", type=_natural, default=200)
-    p.set_defaults(run=_do_stress)
 
     return top
 

@@ -154,10 +154,6 @@ class SizeProfile:
             if not 0 <= c <= self.rank:
                 raise ProfileError(f"count {c} outside 0..{self.rank}")
 
-    @property
-    def empty(self) -> bool:
-        return self.large == 0 and not any(self.small)
-
 
 def class_sizes(structure: FiniteStructure, rel: str = DEFAULT_RELATION) -> dict[int, int]:
     """Uncapped histogram size -> number of classes; checks equivalence.

@@ -151,6 +151,7 @@ def independence_search(pair: OraclePair, decider: DeciderHandle,
     xs: list[int] = []
     ys: list[int] = []
     conflicts: list[str] = []
+    witness = None
     for n in range(n_max + 1):
         pos = decider.ask(predicate_atom(n))
         neg = decider.ask(Not(predicate_atom(n)))
@@ -162,19 +163,17 @@ def independence_search(pair: OraclePair, decider: DeciderHandle,
             xs.append(n)
         if neg == PROVABLE:
             ys.append(n)
+        if witness is None and PROVABLE not in (pos, neg):
+            witness = n
         side = pair.side_of(n, stage)
         if side == "right" and pos == PROVABLE or side == "left" and pos == REFUTABLE:
             conflicts.append(f"atom at {n}: answer {pos} against oracle")
         if side == "left" and neg == PROVABLE or side == "right" and neg == REFUTABLE:
             conflicts.append(f"negated atom at {n}: answer {neg} against oracle")
 
-    settled = set(xs) | set(ys)
-    for n in range(n_max + 1):
-        if n not in settled:
-            return IndependenceReport(
-                n, predicate_atom(n), Not(predicate_atom(n)), stage,
-                decider.budget, n_max, tuple(xs), tuple(ys), tuple(conflicts))
-    return IndependenceReport(None, None, None, stage, decider.budget,
+    positive = None if witness is None else predicate_atom(witness)
+    negative = None if witness is None else Not(positive)
+    return IndependenceReport(witness, positive, negative, stage, decider.budget,
                               n_max, tuple(xs), tuple(ys), tuple(conflicts))
 
 

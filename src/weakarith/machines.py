@@ -74,10 +74,12 @@ class Program:
 
 
 def inc(r: int) -> Instruction:
+    """Library API: no CLI verb calls it."""
     return (INC, r)
 
 
 def decjz(r: int, target: int) -> Instruction:
+    """Library API: no CLI verb calls it."""
     return (DECJZ, r, target)
 
 

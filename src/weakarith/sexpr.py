@@ -176,8 +176,6 @@ def _read(text: str, want: str, policy):
     def ended() -> ParseError:
         return fail("unexpected end of input", len(text.rstrip(SEPARATORS)))
 
-    # the policy's answer for each head, per symbol kind
-    answers: dict[str, dict] = {KIND_RELATION: {}, KIND_FUNCTION: {}}
     # (head, base) -> [base, (head base), (head (head base)), ...]
     chains: dict[tuple, list] = {}
     plain_until = 0  # a head before this offset lies in a run that did not read as a chain
@@ -218,10 +216,7 @@ def _read(text: str, want: str, policy):
                         ctor, symbol_kind, paren = _RELATION if kind is _FORMULA else _FUNCTION
                         if head == "(" or head == ")":
                             raise fail(paren, at)
-                        known = answers[symbol_kind]
-                        answer = known.get(head, known)  # the table itself marks "not yet asked"
-                        if answer is known:
-                            answer = known[head] = policy.head(symbol_kind, head)
+                        answer = policy.head(symbol_kind, head)
                         # a run (head (head ... base)) of a head the policy answers unary
                         # reads in one match when each of its depth levels is closed by
                         # the ')' right after the bare base

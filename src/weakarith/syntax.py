@@ -434,11 +434,6 @@ def term_variables(t: Term) -> frozenset[str]:
     return frozenset(node.name for node, _ in walk(t) if type(node) is Var)
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms including t itself, outermost first."""
-    return (node for node, _ in walk(t))
-
-
 def free_variables(phi: Formula) -> frozenset[str]:
     names: set[str] = set()
     for node, bound in walk(phi):

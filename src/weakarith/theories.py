@@ -14,12 +14,11 @@ axiom for membership purposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 from .errors import FormatError, WorkbenchError
 from .godel import unpair
-from .machines import OraclePair, load_pair_spec
+from .machines import OraclePair, PairSide, load_pair_spec
 from .syntax import (
     KIND_FUNCTION,
     KIND_RELATION,
@@ -258,13 +257,9 @@ def size_unique(n: int) -> Formula:
 SET_MEMBER = "in"
 
 
-@cache
 def set_extent(n: int) -> Formula:
-    """Some set has exactly the n listed (distinct) members.
-
-    Cached per n: the n(n-1)/2 distinctness atoms are interned nodes anyway,
-    and T-set membership compares with this very object.
-    """
+    """Some set has exactly the n listed (distinct) members. Nodes are
+    interned, so T-set membership rebuilds this very object."""
     if n < 0:
         raise SchemeError("set extents are naturals")
     names = [f"x{i}" for i in range(n)]
@@ -515,10 +510,10 @@ def _scheme_theory(name: str, language: Language, slots) -> Theory:
 PADDING = ForAll("x", Eq(Var("x"), Var("x")))
 
 
-def _staged_fact(pair_: OraclePair, side: str, j: int) -> int | None:
+def _staged_fact(side: PairSide, j: int) -> int | None:
     """Slot j encodes (stage, position); None when the slot is padding."""
     s, k = unpair(j)
-    facts = sorted((pair_.left if side == "left" else pair_.right).at(s))
+    facts = sorted(side.at(s))
     return facts[k] if k < len(facts) else None
 
 
@@ -536,7 +531,7 @@ def _staged_theory(pair_: OraclePair, name: str, language: Language,
         kind, j = i % 3, i // 3
         if kind == 0:
             return fixed(j)
-        n = _staged_fact(pair_, "left" if kind == 1 else "right", j)
+        n = _staged_fact(pair_.left if kind == 1 else pair_.right, j)
         if n is None:
             return PADDING
         phi = fact(n)

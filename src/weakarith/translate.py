@@ -90,7 +90,7 @@ class Translation:
                 raise TranslationError(f"source symbol {sym.name!r} is unmapped")
             self._check_template(sym.name, tpl, want)
         known = {s.name for s in self.source.symbols()}
-        for extra in (self.relations.keys() | self.functions.keys()) - known:
+        for extra in sorted((self.relations.keys() | self.functions.keys()) - known):
             raise TranslationError(f"mapped symbol {extra!r} is not in the source")
 
     def _check_template(self, what: str, tpl: TargetTemplate, want: int) -> None:
@@ -239,22 +239,15 @@ def obligations(translation: Translation, theory, first_k: int) -> list[Formula]
     Each group is deterministically ordered and deduplicated.
     """
     axioms = [theory.axiom_of(i) for i in range(first_k)]
+    # translated first, so an axiom outside the source language is refused
+    # before a totality sentence asks for a graph the translation lacks
+    translated = [translate_formula(translation, ax) for ax in axioms]
     used_rels, used_funs = symbols_of(and_all(axioms))
-
-    out: list[Formula] = []
-    for name in sorted(used_funs, key=lambda n: (used_funs[n], n)):
-        out.append(_totality_sentence(translation, name, used_funs[name]))
-    for ax in axioms:
-        out.append(translate_formula(translation, ax))
-    for eq_ax in _equality_axioms(used_funs, used_rels):
-        out.append(translate_formula(translation, eq_ax))
-    seen = set()
-    unique = []
-    for phi in out:
-        if phi not in seen:
-            seen.add(phi)
-            unique.append(phi)
-    return unique
+    totality = [_totality_sentence(translation, name, used_funs[name])
+                for name in sorted(used_funs, key=lambda n: (used_funs[n], n))]
+    equality = [translate_formula(translation, eq_ax)
+                for eq_ax in _equality_axioms(used_funs, used_rels)]
+    return list(dict.fromkeys(totality + translated + equality))
 
 
 @dataclass(frozen=True)
@@ -378,8 +371,7 @@ def parse_translation(text: str) -> Translation:
     """
     source = target = None
     domain_text = None
-    rel_lines: list[tuple[str, str]] = []
-    fun_lines: list[tuple[str, str]] = []
+    lines: dict[str, list[tuple[str, str]]] = {"rel": [], "fun": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -395,10 +387,8 @@ def parse_translation(text: str) -> Translation:
             target = rest
         elif head == "domain":
             domain_text = rest
-        elif head.startswith("rel "):
-            rel_lines.append((head[4:].strip(), rest))
-        elif head.startswith("fun "):
-            fun_lines.append((head[4:].strip(), rest))
+        elif head[:4] in ("rel ", "fun "):
+            lines[head[:3]].append((head[4:].strip(), rest))
         else:
             raise FormatError(f"line {lineno}: unknown key {head!r}")
     if source is None or target is None or domain_text is None:
@@ -408,18 +398,14 @@ def parse_translation(text: str) -> Translation:
     target_lang = get_language(target)
     domain = TargetTemplate(("v0",), parse_formula(domain_text, target_lang))
 
-    relations = {}
-    functions = {}
-    for name, body in rel_lines:
-        sym = source_lang.lookup(name)
-        if sym is None or sym.kind != KIND_RELATION:
-            raise FormatError(f"{name!r} is not a source relation")
-        params = tuple(f"v{i}" for i in range(sym.arity))
-        relations[name] = TargetTemplate(params, parse_formula(body, target_lang))
-    for name, body in fun_lines:
-        sym = source_lang.lookup(name)
-        if sym is None or sym.kind != KIND_FUNCTION:
-            raise FormatError(f"{name!r} is not a source function")
-        params = tuple(f"v{i}" for i in range(sym.arity + 1))
-        functions[name] = TargetTemplate(params, parse_formula(body, target_lang))
-    return Translation(source_lang, target_lang, domain, relations, functions)
+    tables = []
+    for key, kind, result in (("rel", KIND_RELATION, 0), ("fun", KIND_FUNCTION, 1)):
+        table = {}
+        for name, body in lines[key]:
+            sym = source_lang.lookup(name)
+            if sym is None or sym.kind != kind:
+                raise FormatError(f"{name!r} is not a source {kind}")
+            params = tuple(f"v{i}" for i in range(sym.arity + result))
+            table[name] = TargetTemplate(params, parse_formula(body, target_lang))
+        tables.append(table)
+    return Translation(source_lang, target_lang, domain, *tables)

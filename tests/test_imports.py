@@ -1,5 +1,5 @@
-"""Every name a module of the package imports, and every parameter a
-function or lambda of it takes, is used.
+"""Every name a module of the package imports, every parameter a function
+or lambda of it takes, and every name it defines is used.
 
 An imported name counts as used when the module reads it anywhere (a bare
 name or the base of an attribute chain) or lists it in its own `__all__`, as
@@ -7,9 +7,17 @@ the package `__init__` does for its re-exports. `from __future__` imports are
 exempt. A parameter counts as used when its body, nested functions included,
 reads it; a method's receiver and the few parameters that a protocol fixes
 (UNREAD_BY_PROTOCOL) are exempt.
+
+A method or property (other than a dunder) counts as used when the package,
+its tests or the benchmark read it as an attribute, or the benchmark's tracer
+wraps it by name. A public module-level function or class counts as used when
+the package reads it outside its own definition or lists it in `__all__`, the
+benchmark reads it or wraps it, the README names it in a code span, or its
+docstring documents it as "Library API".
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +25,8 @@ import pytest
 import weakarith
 
 MODULES = sorted(Path(weakarith.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -90,3 +100,51 @@ def _unread_parameters(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _reads(node: ast.AST, *, bare: bool = True) -> set[str]:
+    """Every attribute node reads and, when bare, every bare name."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+            if (isinstance(n, ast.Attribute) or bare and isinstance(n, ast.Name))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _wrapped() -> set[str]:
+    """The names the benchmark's tracer wraps, which it gives as strings."""
+    return {n.value for n in ast.walk(_tree(ROOT / "perfbench" / "tracing.py"))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_method_is_read():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    read = _wrapped().union(*(_reads(_tree(p), bare=False)
+                              for p in (*MODULES, *tests, *BENCHMARK)))
+    unread = [f"{path.name}:{f.lineno}: {cls.name}.{f.name}"
+              for path in MODULES for cls in ast.walk(_tree(path))
+              if isinstance(cls, ast.ClassDef)
+              for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+              if not f.name.startswith("__") and f.name not in read]
+    assert unread == []
+
+
+def test_every_public_name_is_used():
+    trees = [_tree(path) for path in MODULES]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used = set(weakarith.__all__) | _wrapped()
+    used.update(*(_reads(_tree(p)) for p in BENCHMARK))
+    unused = []
+    for path, tree in zip(MODULES, trees):
+        for d in tree.body:
+            if (not isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                    or d.name.startswith("_") or d.name in used
+                    or "Library API" in (ast.get_docstring(d) or "")
+                    or re.search(rf"`{d.name}[`(]", readme)):
+                continue
+            if not any(d.name in _reads(stmt) for other in trees
+                       for stmt in other.body if stmt is not d):
+                unused.append(f"{path.name}:{d.lineno}: {d.name}")
+    assert unused == []

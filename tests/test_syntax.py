@@ -30,7 +30,6 @@ from weakarith.syntax import (
     or_all,
     substitute,
     substitute_many,
-    subterms,
     symbols_of,
     term_variables,
     validate_formula,
@@ -68,11 +67,6 @@ def test_folds_are_balanced():
         return 0
 
     assert depth(phi) == 6
-
-
-def test_subterms_outermost_first():
-    t = App("+", (s(zero), x))
-    assert list(subterms(t)) == [t, s(zero), zero, x]
 
 
 def test_term_variables():
@@ -182,13 +176,6 @@ def _ref_term_variables(t):
             return {name}
         case App(_, args):
             return set().union(*map(_ref_term_variables, args))
-
-
-def _ref_subterms(t):
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from _ref_subterms(a)
 
 
 def _ref_variables(f, free):
@@ -356,7 +343,6 @@ def test_queries_match_recursive_definitions(phi):
     terms = [t for t, _ in walk(phi) if isinstance(t, (Var, App))]
     for t in terms:
         assert term_variables(t) == _ref_term_variables(t)
-        assert list(subterms(t)) == list(_ref_subterms(t))
     assert _outcome(relation_name_of, phi) == _outcome(_ref_relation_name, phi)
     assert _outcome(rank, phi) == _outcome(_ref_checked_rank, phi)
 

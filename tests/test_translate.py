@@ -16,6 +16,7 @@ from weakarith.syntax import (
     KIND_FUNCTION,
     KIND_RELATION,
     Language,
+    LanguageError,
     Not,
     Or,
     Rel,
@@ -186,6 +187,12 @@ def test_obligations_cover_totality_axioms_equality():
     assert len(set(texts)) == len(texts), "duplicate obligations"
 
 
+def test_obligations_refuse_a_theory_outside_the_source():
+    # TC's axioms use symbols R lacks; the totality step once raised KeyError
+    with pytest.raises(LanguageError, match="unknown function symbol 'conc'"):
+        obligations(identity_translation(get_language("R")), get_theory("TC"), 5)
+
+
 def test_verify_semantic_golden():
     tr = graph_translation()
     rep = verify_semantic(tr, _MiniTheory(), TARGET, 2)
@@ -296,3 +303,28 @@ def test_parse_translation_errors():
         parse_translation("source: eq\ntarget: R\n")  # no domain
     with pytest.raises(FormatError):
         parse_translation("junk line\n")
+
+
+_EXTRA_RELATIONS = """
+from weakarith.syntax import TRUE
+from weakarith.theories import get_language
+from weakarith.translate import (TargetTemplate, Translation, TranslationError,
+                                 identity_translation)
+base = identity_translation(get_language("Q"))
+extra = {name: TargetTemplate((), TRUE) for name in ("Pa", "Pb", "Pc", "Pd")}
+try:
+    Translation(base.source, base.target, base.domain, {**base.relations, **extra},
+                base.functions)
+except TranslationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "2", "3", "4"])
+def test_validation_names_the_least_unknown_symbol_under_any_hash_seed(seed, monkeypatch):
+    # string hashing orders a set differently per process, so each seed runs fresh
+    from fresh import run_python
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    got = run_python("-c", _EXTRA_RELATIONS)
+    assert (got.returncode, got.stdout, got.stderr) == (
+        0, "mapped symbol 'Pa' is not in the source\n", "")
