@@ -14,6 +14,7 @@ axiom for membership purposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .errors import FormatError, WorkbenchError
@@ -257,9 +258,13 @@ def size_unique(n: int) -> Formula:
 SET_MEMBER = "in"
 
 
+@cache
 def set_extent(n: int) -> Formula:
-    """Some set has exactly the n listed (distinct) members. Nodes are
-    interned, so T-set membership rebuilds this very object."""
+    """Some set has exactly the n listed (distinct) members.
+
+    Cached per n: the n(n-1)/2 distinctness atoms are interned nodes anyway,
+    and T-set membership compares with this very object.
+    """
     if n < 0:
         raise SchemeError("set extents are naturals")
     names = [f"x{i}" for i in range(n)]

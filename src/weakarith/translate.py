@@ -371,7 +371,7 @@ def parse_translation(text: str) -> Translation:
     """
     source = target = None
     domain_text = None
-    lines: dict[str, list[tuple[str, str]]] = {"rel": [], "fun": []}
+    lines: dict[str, list[tuple[str, str]]] = {KIND_RELATION: [], KIND_FUNCTION: []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -387,8 +387,10 @@ def parse_translation(text: str) -> Translation:
             target = rest
         elif head == "domain":
             domain_text = rest
-        elif head[:4] in ("rel ", "fun "):
-            lines[head[:3]].append((head[4:].strip(), rest))
+        elif head.startswith("rel "):
+            lines[KIND_RELATION].append((head[4:].strip(), rest))
+        elif head.startswith("fun "):
+            lines[KIND_FUNCTION].append((head[4:].strip(), rest))
         else:
             raise FormatError(f"line {lineno}: unknown key {head!r}")
     if source is None or target is None or domain_text is None:
@@ -398,14 +400,15 @@ def parse_translation(text: str) -> Translation:
     target_lang = get_language(target)
     domain = TargetTemplate(("v0",), parse_formula(domain_text, target_lang))
 
-    tables = []
-    for key, kind, result in (("rel", KIND_RELATION, 0), ("fun", KIND_FUNCTION, 1)):
-        table = {}
-        for name, body in lines[key]:
+    tables: dict[str, dict[str, TargetTemplate]] = {}
+    # a function's template takes one more parameter, for its value
+    for kind, graph_args in ((KIND_RELATION, 0), (KIND_FUNCTION, 1)):
+        table = tables[kind] = {}
+        for name, body in lines[kind]:
             sym = source_lang.lookup(name)
             if sym is None or sym.kind != kind:
                 raise FormatError(f"{name!r} is not a source {kind}")
-            params = tuple(f"v{i}" for i in range(sym.arity + result))
+            params = tuple(f"v{i}" for i in range(sym.arity + graph_args))
             table[name] = TargetTemplate(params, parse_formula(body, target_lang))
-        tables.append(table)
-    return Translation(source_lang, target_lang, domain, *tables)
+    return Translation(source_lang, target_lang, domain,
+                       relations=tables[KIND_RELATION], functions=tables[KIND_FUNCTION])

@@ -114,9 +114,13 @@ def _reads(node: ast.AST, *, bare: bool = True) -> set[str]:
 
 
 def _wrapped() -> set[str]:
-    """The names the benchmark's tracer wraps, which it gives as strings."""
-    return {n.value for n in ast.walk(_tree(ROOT / "perfbench" / "tracing.py"))
-            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    """The names the benchmark's tracer wraps: the last field of each row
+    of its FUNCTIONS and METHODS tables."""
+    return {row.elts[-1].value for stmt in _tree(ROOT / "perfbench" / "tracing.py").body
+            if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in ("FUNCTIONS", "METHODS")
+                    for t in stmt.targets)
+            for row in stmt.value.elts}
 
 
 def test_every_method_is_read():
