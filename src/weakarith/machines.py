@@ -85,15 +85,35 @@ def decjz(r: int, target: int) -> Instruction:
 
 HALT_INSTR: Instruction = (HALT,)
 
+# registers below this are their own slot in a run's register list
+_DENSE_REGISTERS = 1 << 12
+
 
 class MachineRun:
-    """A run of a program on one input that can stop and resume."""
+    """A run of a program on one input that can stop and resume.
+
+    `registers[r]` is register r for every r below _DENSE_REGISTERS. The
+    registers a program names from there up take the slots _DENSE_REGISTERS,
+    _DENSE_REGISTERS + 1, ... in increasing order, and `instructions` names
+    those slots; so a run of an n-instruction program holds at most
+    _DENSE_REGISTERS + n registers, however large the numbers it names.
+    """
 
     __slots__ = ("instructions", "pc", "registers", "steps", "never_halts")
 
     def __init__(self, program: Program, input_value: int):
         self.instructions = instrs = program.instructions
-        self.registers = [0] * max([2] + [op[1] + 1 for op in instrs if len(op) > 1])
+        size = 2
+        for op in instrs:
+            if len(op) > 1 and op[1] >= size:
+                size = op[1] + 1
+        if size > _DENSE_REGISTERS:
+            far = sorted({op[1] for op in instrs if len(op) > 1 and op[1] >= _DENSE_REGISTERS})
+            slot = {r: _DENSE_REGISTERS + i for i, r in enumerate(far)}
+            self.instructions = instrs = tuple(
+                (op[0], slot.get(op[1], op[1]), *op[2:]) if len(op) > 1 else op for op in instrs)
+            size = _DENSE_REGISTERS + len(far)
+        self.registers = [0] * size
         self.registers[1] = input_value
         self.pc = 0
         self.steps = 0

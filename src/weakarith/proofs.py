@@ -270,17 +270,17 @@ def check_proof(proof: Proof, theory) -> Formula:
 # --- bounded search -----------------------------------------------------------
 
 def _instantiation_terms(goal: Formula, numeral_bound: int, language) -> list[Term]:
+    """The goal's subterms, which search_proof has checked are in the
+    language, and the numerals up to numeral_bound that are in it too: each
+    contains the one before, so the first one outside ends them."""
     pool = [node for node, _ in walk(goal) if type(node) is Var or type(node) is App]
-    pool.extend(numeral(n) for n in range(numeral_bound + 1))
-    terms = []
-    for t in dict.fromkeys(pool):
+    for n in range(numeral_bound + 1):
         try:
-            validate_formula(Eq(t, t), language)
+            validate_formula(Eq(numeral(n), numeral(n)), language)
         except WorkbenchError:
-            continue
-        terms.append(t)
-    terms.sort(key=lambda t: (formula_size(Eq(t, t)), print_term(t)))
-    return terms
+            break
+        pool.append(numeral(n))
+    return sorted(dict.fromkeys(pool), key=lambda t: (formula_size(Eq(t, t)), print_term(t)))
 
 
 def _write_out(derived: dict, goal: Formula, theory_name: str) -> Proof:
@@ -325,8 +325,14 @@ def search_proof(theory, goal: Formula, budget: int, *,
     candidate costs one unit of budget. The propositional schemas are
     never instantiated by the search (they remain available to
     check_proof). A goal found with budget b is found with the identical
-    proof at any larger budget.
+    proof at any larger budget. A goal outside the theory's language gets
+    None at once: axioms, instances by terms of the language, modus ponens
+    and generalization never leave it.
     """
+    try:
+        validate_formula(goal, theory.language)
+    except WorkbenchError:
+        return None
     inst_terms = _instantiation_terms(goal, numeral_bound, theory.language)
     gen_vars = sorted(all_variable_names(goal))
 

@@ -225,6 +225,21 @@ def test_run_machine_transfer_loop_halts_exactly_at_its_budget(tmp_path, capsys)
     assert capsys.readouterr().out == "did not halt within 3000000 steps\n"
 
 
+@pytest.mark.parametrize("register", [10**20, 10**9])
+def test_run_machine_on_huge_registers(tmp_path, capsys, register):
+    # a register list as long as the largest register named would not fit
+    # an index (10^20) or would take 8 GB (10^9)
+    from weakarith.machines import encode_program, parse_program
+
+    text = f"inc {register}\ndecjz {register} 3\ninc 0\nhalt\n"
+    program = tmp_path / "huge.prog"
+    program.write_text(text)
+    code = str(encode_program(parse_program(text)))
+    for argv in (["--program", str(program)], ["--code", code]):
+        assert main(["run-machine", *argv, "--summary"]) == 0
+        assert capsys.readouterr() == ("halted output=1\nsummary: halted=1 output=1 steps=3\n", "")
+
+
 def _one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -350,6 +365,18 @@ def test_independence_proof_search_needs_theory(capsys):
                  "--decider", "proof-search", "--n-max", "2"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_proof_search_outside_the_language_answers_the_same_at_any_budget(capsys):
+    # T-set has no P, so no search for P(n) or its negation can succeed, and
+    # each one ends before its first candidate (the default budget 1000 used
+    # to take over a minute here, spent on T-set's axioms)
+    argv = ["independence", "--pair", "canonical", "--decider", "proof-search",
+            "--theory", "T-set", "--n-max", "4", "--stage", "40", "--budget"]
+    for budget in ("100", "1000"):
+        assert main(argv + [budget]) == 0
+        assert capsys.readouterr().out == \
+            "x:\ny:\nwitness: 0\npositive: (P 0)\nnegative: (not (P 0))\n"
 
 
 def test_stress_rows(capsys):

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import io
 import signal
+import sys
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -21,6 +22,10 @@ from hypothesis import strategies as st
 
 from weakarith.cli import _natural, build_parser, main
 from weakarith.eqdecide import MAX_RANK
+from weakarith.godel import godel_encode
+from weakarith.machines import encode_program, parse_program
+from weakarith.sexpr import parse_formula
+from weakarith.theories import get_language
 
 VERBS = next(a for a in build_parser()._actions
              if isinstance(a, argparse._SubParsersAction)).choices
@@ -43,13 +48,12 @@ CAPS = {
     "--stage": 40,
     # a run that loops without an exact jump takes one step at a time
     "--steps": 10_000,
-    # proof search tries up to this many candidates per goal, and a goal
-    # outside the theory's language, such as P(n) in T-set, spends them all
-    # on axioms; T-set's axiom k has k(k-1)/2 atoms, so `independence
-    # --decider proof-search --theory T-set --n-max 4 --stage 40` takes
-    # 0.3 s at --budget 100, 3 s at 200, 25 s at 400, and over a minute at
-    # the default 1000
-    "--budget": 100,
+    # proof search tries up to this many candidates per goal (a goal outside
+    # the theory's language, such as P(n) in T-set, tries none); the slowest
+    # pooled call, `search-proof --theory product:R,Q --goal goal.sexp
+    # --numeral-bound 4`, takes 0.05 s at --budget 1000, 0.5 s at 10,000
+    # and 5.3 s at 30,000
+    "--budget": 10_000,
     # proof search instantiates with every numeral up to this bound
     "--numeral-bound": 4,
     # the equivalence decider decides index n at rank n + 1, about seven
@@ -66,6 +70,17 @@ RANKS = st.one_of(st.integers(0, 4), st.sampled_from([MAX_RANK + 1, 40, 10**20])
 # once (larger formula codes are refused by size) and a run's work is set
 # by --steps, not by its input
 NUMBERS = st.one_of(st.integers(0, 20), st.integers(0, 10**20))
+# codes above the codec's isqrt cutoff: a valid one of 75,872 bits and random
+# ones of 5k to 150k bits, which decode until their first bad tag or name
+DECODES = st.one_of(
+    NUMBERS,
+    st.just(godel_encode(parse_formula("(forall x (or (<= x (S 0)) (<= (S 0) x)))",
+                                       get_language("R")))),
+    st.builds(lambda bits, rng: rng.getrandbits(bits) | 1 << bits - 1,
+              st.integers(5_000, 150_000), st.randoms(use_true_random=False)))
+# programs naming registers far past the length of any register list
+HUGE_REGISTERS = "inc 100000000000000000000\ndecjz 1000000000 0\ninc 0\nhalt\n"
+CODES = st.one_of(NUMBERS, st.just(encode_program(parse_program(HUGE_REGISTERS))))
 NOT_NUMBERS = st.one_of(st.integers(-3, -1).map(str),
                         st.sampled_from(["", "x", "1.5", "0x1f", "1e3", "-x", "--"]))
 
@@ -100,6 +115,7 @@ FILES = {
     "proof.txt": ("ax R 9\nlogic inst x (or (<= x (S 0)) (<= (S 0) x)) (S 0)\n"
                   "mp 0 1\n"),
     "transfer.prog": "decjz 1 3\ninc 0\ndecjz 2 0\nhalt\n",
+    "huge.prog": HUGE_REGISTERS,
     "pair.spec": "finite B={1,3} C={2}\n",
     "malformed.txt": "(forall x (= x\n",
     "junk.txt": "source nowhere\nrel : (\ndecjz 1\nsize x\n",
@@ -116,7 +132,7 @@ FITTING = {
     "sentence": ["sentence.sexp"],
     "proof": ["proof.txt"],
     "goal": ["goal.sexp"],
-    "program": ["transfer.prog"],
+    "program": ["transfer.prog", "huge.prog"],
     "pair": ["pair.spec"],
 }
 
@@ -141,6 +157,13 @@ def _likely(common, rare):
     return st.integers(0, 7).flatmap(lambda i: rare if i == 7 else common)
 
 
+def _decimal(n: int) -> str:
+    # main lifts the int-to-str digit limit too; the fixture in conftest.py
+    # restores it after each test
+    sys.set_int_max_str_digits(0)
+    return str(n)
+
+
 def _cap(action) -> int | None:
     return next((CAPS[o] for o in action.option_strings if o in CAPS), None)
 
@@ -149,9 +172,9 @@ def _values(action, files):
     """The strategy for one value of an option or positional."""
     if action.type in (int, _natural):
         cap = _cap(action)
-        numbers = (RANKS if action.dest == "rank" else NUMBERS if cap is None
-                   else st.integers(0, cap))
-        return _likely(numbers.map(str), NOT_NUMBERS)
+        numbers = ({"rank": RANKS, "decode": DECODES, "code": CODES}.get(action.dest, NUMBERS)
+                   if cap is None else st.integers(0, cap))
+        return _likely(numbers.map(_decimal), NOT_NUMBERS)
     # one file in two cannot be read or parsed at all
     any_file = st.one_of(st.sampled_from([files[name] for name in UNREADABLE]),
                          st.sampled_from(sorted(files.values())))

@@ -1,12 +1,13 @@
 """Formula numbering: pairing arithmetic and the tree codec."""
 
+import random
 from math import isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from weakarith.godel import NotACode, godel_decode, godel_encode, pair, unpair
-from weakarith.godel import _encode_str
+from weakarith.godel import _ISQRT_BITS, _encode_str, _sqrtrem
 from weakarith.sexpr import parse_formula
 from weakarith.syntax import App, Eq, Not, Rel, Var
 from weakarith.theories import get_language
@@ -60,6 +61,52 @@ def test_pair_and_unpair_match_the_closed_forms(a, b, c):
     assert code == _closed_pair(a, b)
     assert unpair(code) == (a, b)
     assert unpair(c) == _closed_unpair(c)
+
+
+def _near_squares(bits, rng):
+    """Numbers of exactly `bits` bits: random, all ones, a power of two, and
+    the largest square of that length with its two neighbours."""
+    n = rng.getrandbits(bits) | 1 << bits - 1
+    root = isqrt((1 << bits) - 1)
+    return [n, (1 << bits) - 1, 1 << bits - 1,
+            root * root - 1, root * root, root * root + 1]
+
+
+def _sqrtrem_cases(bits, rng):
+    return [n for n in _near_squares(bits, rng) if n.bit_length() == bits]
+
+
+# every residue of the bit length mod 4 just below, at and above the cutoff,
+# where the recursion starts, and at the largest sizes the codec meets
+_SQRT_BITS = sorted({b for base in (1, _ISQRT_BITS, 2 * _ISQRT_BITS, 10**4, 200_000)
+                     for b in range(max(1, base - 4), base + 5)})
+
+
+@pytest.mark.parametrize("bits", _SQRT_BITS)
+def test_sqrtrem_matches_isqrt_at_every_residue_around_the_cutoff(bits):
+    for n in _sqrtrem_cases(bits, random.Random(bits)):
+        s = isqrt(n)
+        assert _sqrtrem(n) == (s, n - s * s), (bits, n.bit_length())
+
+
+@given(st.integers(1, 200_000), st.randoms(use_true_random=False))
+def test_sqrtrem_matches_isqrt(bits, rng):
+    for n in _sqrtrem_cases(bits, rng):
+        s = isqrt(n)
+        assert _sqrtrem(n) == (s, n - s * s)
+
+
+@given(st.integers(10_000, 200_000), st.randoms(use_true_random=False))
+@example(10_000, random.Random(0))
+def test_unpair_matches_the_closed_form_above_the_cutoff(bits, rng):
+    # c = w(w+1)/2 + a with 0 <= a <= w: both ends of a diagonal, where 8c + 1
+    # is an odd square or one below the next, and a random point between
+    w = rng.getrandbits(bits // 2) | 1 << bits // 2 - 1
+    base = w * (w + 1) // 2
+    for c in (base, base + 1, base + w - 1, base + w, base + rng.randrange(w + 1),
+              *_near_squares(bits, rng)):
+        assert c.bit_length() > _ISQRT_BITS
+        assert unpair(c) == _closed_unpair(c)
 
 
 def test_string_code_golden():

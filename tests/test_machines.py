@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weakarith.errors import FormatError
 from weakarith.machines import (
+    _DENSE_REGISTERS,
     MachineRun,
     Program,
     StageDisjointnessError,
@@ -224,6 +225,29 @@ def test_resumed_run_ends_where_one_shot_run_ends(instrs, x, chunks):
     state, plain = _reference_advance((0, MachineRun(program, x).registers, 0), instrs, total)
     assert (one_shot.pc, one_shot.registers, one_shot.steps) == state
     assert want == plain
+
+
+# registers 2 and 3 renamed past the dense ones, out of their order
+_FAR = {2: 10**20, 3: _DENSE_REGISTERS + 7}
+
+
+@given(st.one_of(st.lists(_instructions, max_size=7).map(tuple), _some_looping),
+       _inputs, _chunks)
+@example(**_TRANSFER_EXAMPLE)
+def test_far_registers_run_in_the_slots_after_the_dense_ones(instrs, x, chunks):
+    renamed = tuple((op[0], _FAR.get(op[1], op[1]), *op[2:]) if len(op) > 1 else op
+                    for op in instrs)
+    near, far = MachineRun(Program(instrs), x), MachineRun(Program(renamed), x)
+    named = sorted({op[1] for op in instrs if len(op) > 1} & set(_FAR), key=_FAR.get)
+    if named:
+        assert len(far.registers) == _DENSE_REGISTERS + len(named)
+    else:
+        assert far.registers == near.registers
+    for chunk in chunks:
+        assert far.advance(chunk) == near.advance(chunk)
+        assert (far.pc, far.steps, far.never_halts) == (near.pc, near.steps, near.never_halts)
+        assert far.registers[:2] == near.registers[:2]
+        assert far.registers[_DENSE_REGISTERS:] == [near.registers[r] for r in named]
 
 
 def _reference_advance(state, instrs, steps):

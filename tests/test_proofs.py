@@ -184,6 +184,22 @@ def test_search_misses_false_goal():
         assert search_proof(R, goal, budget) is None
 
 
+@pytest.mark.parametrize("goal", [
+    Rel("P", (numeral(3),)),                       # no P in T-set
+    Not(Rel("in", (Var("x"),))),                   # in at the wrong arity
+    Rel("in", (Var("x"), App("0"))),               # no constant 0
+    And(Rel("in", (Var("x"), Var("y"))), Rel("in", (Var("x"),))),  # two arities
+])
+def test_search_outside_the_language_reads_no_axiom(goal):
+    from weakarith.theories import Theory
+
+    t_set = get_theory("T-set")
+    def axiom_fn(i):
+        raise AssertionError(f"read axiom {i}")
+    spy = Theory(t_set.name, t_set.language, axiom_fn)
+    assert search_proof(spy, goal, 1000) is None
+
+
 def test_is_tautology():
     atom = Rel("<=", (App("0"), App("0")))
     assert is_tautology(Implies(Falsum(), ForAll("x", Eq(Var("x"), Var("x")))))
