@@ -253,19 +253,74 @@ class Membership:
     status: str
 
 
+class _Record:
+    """What the two sides of a pair share, referring to neither of them.
+
+    One (side, entry stage) per element, side 0 left and 1 right; each side's
+    entry stages and elements in entry order; and the canonical pair's
+    frontier and pending runs. A side and its pair both hold the record, so
+    no reference cycle ties a pair to its sides: a side held alone keeps the
+    record alive, and a pair let go is freed by reference counting.
+    """
+
+    __slots__ = ("finite", "entries", "sides", "frontier", "runs")
+
+    def __init__(self):
+        self.finite = True
+        self.entries: dict[int, tuple[int, int]] = {}
+        self.sides: tuple[tuple[list[int], list[int]], ...] = (([], []), ([], []))
+        self.frontier = -1
+        self.runs: dict[int, MachineRun] = {}
+
+    def add(self, events: list[tuple[int, int, int]]) -> None:
+        """Append (entry stage, element, side) events given in entry order."""
+        clash = []
+        for stage, e, side in events:
+            if e in self.entries:
+                clash.append(e)
+                continue
+            self.entries[e] = (side, stage)
+            stages, elements = self.sides[side]
+            stages.append(stage)
+            elements.append(e)
+        if clash:
+            raise StageDisjointnessError(f"sides share {sorted(clash)} at stage {stage}")
+
+    def extend(self, stage: int) -> None:
+        """Extend the canonical record to `stage`: start the programs above
+        the old frontier, resume every pending run up to `stage` steps. A run
+        that halts enters above the old frontier, so its event sorts last. A
+        run proven never to halt is dropped and never resumed again.
+        """
+        if self.finite or stage <= self.frontier:
+            return
+        runs = self.runs
+        for e in range(self.frontier + 1, stage + 1):
+            runs[e] = MachineRun(decode_program(e), e)
+        events = []
+        for e, run in list(runs.items()):
+            out = run.advance(stage - run.steps)
+            if out is not None or run.never_halts:
+                del runs[e]
+                if out in (0, 1):
+                    events.append((max(e, run.steps), e, out))
+        events.sort()
+        self.frontier = stage
+        self.add(events)
+
+
 class PairSide:
     """One side of an oracle pair: its elements in order of entry stage."""
 
-    def __init__(self, pair_: OraclePair):
-        self._pair = pair_
-        self.stages: list[int] = []
-        self.elements: list[int] = []
+    def __init__(self, record: _Record, side: int):
+        self._record = record
+        self.stages, self.elements = record.sides[side]
 
     def at(self, stage: int) -> frozenset[int]:
         """The elements whose entry stage is at most `stage`."""
-        if self._pair.finite:
+        if self._record.finite:
             return frozenset(self.elements)
-        self._pair.check_stage(stage)
+        self._record.extend(stage)
         return frozenset(self.elements[:bisect_right(self.stages, stage)])
 
 
@@ -278,56 +333,27 @@ class OraclePair:
     """
 
     def __init__(self, left: Iterable[int] = (), right: Iterable[int] = ()):
-        self.finite = True
-        self.left, self.right = PairSide(self), PairSide(self)
-        self._entries: dict[int, tuple[PairSide, int]] = {}
-        self._frontier = -1
-        self._runs: dict[int, MachineRun] = {}
-        self._record([(0, e, self.left) for e in sorted(set(left))]
-                     + [(0, e, self.right) for e in sorted(set(right))])
+        self._record = record = _Record()
+        self.left, self.right = PairSide(record, 0), PairSide(record, 1)
+        record.add([(0, e, 0) for e in sorted(set(left))]
+                   + [(0, e, 1) for e in sorted(set(right))])
 
-    def _record(self, events: list[tuple[int, int, PairSide]]) -> None:
-        """Append (entry stage, element, side) events given in entry order."""
-        clash = []
-        for stage, e, side in events:
-            if e in self._entries:
-                clash.append(e)
-                continue
-            self._entries[e] = (side, stage)
-            side.stages.append(stage)
-            side.elements.append(e)
-        if clash:
-            raise StageDisjointnessError(f"sides share {sorted(clash)} at stage {stage}")
+    @property
+    def finite(self) -> bool:
+        return self._record.finite
 
     def check_stage(self, stage: int) -> None:
-        """Extend the canonical record to `stage`: start the programs above
-        the old frontier, resume every pending run up to `stage` steps. A run
-        that halts enters above the old frontier, so its event sorts last. A
-        run proven never to halt is dropped and never resumed again.
-        """
-        if self.finite or stage <= self._frontier:
-            return
-        runs = self._runs
-        for e in range(self._frontier + 1, stage + 1):
-            runs[e] = MachineRun(decode_program(e), e)
-        events = []
-        for e, run in list(runs.items()):
-            out = run.advance(stage - run.steps)
-            if out is not None or run.never_halts:
-                del runs[e]
-                if out in (0, 1):
-                    events.append((max(e, run.steps), e, self.right if out else self.left))
-        events.sort()
-        self._frontier = stage
-        self._record(events)
+        """Extend the canonical record to `stage`; a finite pair is complete."""
+        self._record.extend(stage)
 
     def side_of(self, n: int, stage: int) -> str | None:
         """'left' or 'right' when n has entered that side by `stage`, else None."""
-        self.check_stage(stage)
-        side, entered = self._entries.get(n, (None, 0))
-        if side is None or not self.finite and entered > stage:
+        record = self._record
+        record.extend(stage)
+        side, entered = record.entries.get(n, (None, 0))
+        if side is None or not record.finite and entered > stage:
             return None
-        return "left" if side is self.left else "right"
+        return "right" if side else "left"
 
     def query(self, side: str, n: int, stage: int) -> Membership:
         if side not in ("left", "right"):
@@ -344,7 +370,7 @@ def canonical_pair() -> OraclePair:
     right(s) = same with output 1. Each call returns a fresh pair.
     """
     pair_ = OraclePair()
-    pair_.finite = False
+    pair_._record.finite = False
     return pair_
 
 

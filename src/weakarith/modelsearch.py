@@ -27,6 +27,11 @@ axiom that is True is never checked again: filling a cell only replaces
 an unknown by a value, and a Kleene value that is already known stays
 the same when its unknowns become known.  A node where an axiom is False
 is pruned, and a node where every axiom is True is a witness.
+
+A search is released on return by reference counting alone: the nested
+functions that recurse (the compiler's walk over one sentence, the
+depth-first search over one size) are deleted when they finish, so no call
+leaves a reference cycle for the cyclic collector to find.
 """
 
 from __future__ import annotations
@@ -130,153 +135,158 @@ def _compiler():
         used[-1].append((side, node.name, len(node.args)))
         return tabs.setdefault(node.name, [])
 
-    def term(t, scope):
-        if type(t) is Var:
-            slot = scope[t.name]
-            return lambda: env[slot]
-        return entry(table(funtabs, 1, t), t.args, scope)
+    def compile_check(phi):
+        # term, entry and formula call one another through their cells; they
+        # live for one sentence and are deleted after it, so the compiled
+        # closures, which never name them, are freed by reference counting
+        def term(t, scope):
+            if type(t) is Var:
+                slot = scope[t.name]
+                return lambda: env[slot]
+            return entry(table(funtabs, 1, t), t.args, scope)
 
-    def entry(tab, args, scope):
-        # the table cell at the arguments' row-major index; a variable
-        # argument is read from its slot in place, never through a call
-        if not args:
-            return lambda: tab[0]
-        if len(args) == 1:
-            (x,) = args
-            if type(x) is Var:
-                s = scope[x.name]
-                return lambda: tab[env[s]]
-            f = term(x, scope)
-
-            def unary():
-                a = f()
-                return None if a is None else tab[a]
-            return unary
-        if len(args) == 2:
-            x, y = args
-            if type(x) is Var:
-                s = scope[x.name]
-                if type(y) is Var:
-                    t = scope[y.name]
-                    return lambda: tab[env[s] * k + env[t]]
-                g = term(y, scope)
-
-                def var_term():
-                    b = g()
-                    return None if b is None else tab[env[s] * k + b]
-                return var_term
-            f = term(x, scope)
-            if type(y) is Var:
-                t = scope[y.name]
-
-                def term_var():
-                    a = f()
-                    return None if a is None else tab[a * k + env[t]]
-                return term_var
-            g = term(y, scope)
-
-            def binary():
-                a = f()
-                if a is None:
-                    return None
-                b = g()
-                return None if b is None else tab[a * k + b]
-            return binary
-        parts = [term(a, scope) for a in args]
-
-        def nary():
-            idx = 0
-            for f in parts:
-                v = f()
-                if v is None:
-                    return None
-                idx = idx * k + v
-            return tab[idx]
-        return nary
-
-    def formula(f, scope, depth):
-        cls = type(f)
-        if cls is Rel:
-            return entry(table(reltabs, 0, f), f.args, scope)
-        if cls is Eq:
-            x, y = f.left, f.right
-            if type(x) is Var:
-                # equality is symmetric: a variable side goes to the right
-                x, y = y, x
-            if type(y) is Var:
-                t = scope[y.name]
+        def entry(tab, args, scope):
+            # the table cell at the arguments' row-major index; a variable
+            # argument is read from its slot in place, never through a call
+            if not args:
+                return lambda: tab[0]
+            if len(args) == 1:
+                (x,) = args
                 if type(x) is Var:
                     s = scope[x.name]
-                    return lambda: env[s] == env[t]
-                left = term(x, scope)
+                    return lambda: tab[env[s]]
+                f = term(x, scope)
 
-                def eq_var():
+                def unary():
+                    a = f()
+                    return None if a is None else tab[a]
+                return unary
+            if len(args) == 2:
+                x, y = args
+                if type(x) is Var:
+                    s = scope[x.name]
+                    if type(y) is Var:
+                        t = scope[y.name]
+                        return lambda: tab[env[s] * k + env[t]]
+                    g = term(y, scope)
+
+                    def var_term():
+                        b = g()
+                        return None if b is None else tab[env[s] * k + b]
+                    return var_term
+                f = term(x, scope)
+                if type(y) is Var:
+                    t = scope[y.name]
+
+                    def term_var():
+                        a = f()
+                        return None if a is None else tab[a * k + env[t]]
+                    return term_var
+                g = term(y, scope)
+
+                def binary():
+                    a = f()
+                    if a is None:
+                        return None
+                    b = g()
+                    return None if b is None else tab[a * k + b]
+                return binary
+            parts = [term(a, scope) for a in args]
+
+            def nary():
+                idx = 0
+                for f in parts:
+                    v = f()
+                    if v is None:
+                        return None
+                    idx = idx * k + v
+                return tab[idx]
+            return nary
+
+        def formula(f, scope, depth):
+            cls = type(f)
+            if cls is Rel:
+                return entry(table(reltabs, 0, f), f.args, scope)
+            if cls is Eq:
+                x, y = f.left, f.right
+                if type(x) is Var:
+                    # equality is symmetric: a variable side goes to the right
+                    x, y = y, x
+                if type(y) is Var:
+                    t = scope[y.name]
+                    if type(x) is Var:
+                        s = scope[x.name]
+                        return lambda: env[s] == env[t]
+                    left = term(x, scope)
+
+                    def eq_var():
+                        a = left()
+                        return None if a is None else a == env[t]
+                    return eq_var
+                left, right = term(x, scope), term(y, scope)
+
+                def eq():
                     a = left()
-                    return None if a is None else a == env[t]
-                return eq_var
-            left, right = term(x, scope), term(y, scope)
+                    if a is None:
+                        return None
+                    b = right()
+                    return None if b is None else a == b
+                return eq
+            if cls is Verum:
+                return lambda: True
+            if cls is Falsum:
+                return lambda: False
+            if cls is Not:
+                body = formula(f.body, scope, depth)
 
-            def eq():
-                a = left()
-                if a is None:
-                    return None
-                b = right()
-                return None if b is None else a == b
-            return eq
-        if cls is Verum:
-            return lambda: True
-        if cls is Falsum:
-            return lambda: False
-        if cls is Not:
-            body = formula(f.body, scope, depth)
-
-            def neg():
-                got = body()
-                return None if got is None else not got
-            return neg
-        if cls in _KLEENE:
-            left = formula(f.left, scope, depth)
-            right = formula(f.right, scope, depth)
-            stop, stopped, wins, both = _KLEENE[cls]
-
-            def connective():
-                a = left()
-                if a is stop:
-                    return stopped
-                b = right()
-                if b is wins:
-                    return wins
-                return None if a is None or b is None else both
-            return connective
-        if cls is ForAll or cls is Exists:
-            # one slot per quantifier depth: a re-bound name gets a fresh
-            # slot, and the outer binding's slot is left untouched
-            slot = depth
-            if len(env) <= slot:
-                env.append(0)
-            body = formula(f.body, {**scope, f.var: slot}, depth + 1)
-            want = cls is Exists
-
-            def quantifier():
-                unknown = False
-                for a in universe:
-                    env[slot] = a
+                def neg():
                     got = body()
-                    if got is want:
-                        return want
-                    if got is None:
-                        unknown = True
-                return None if unknown else not want
-            return quantifier
-        raise LanguageError(f"not a formula: {f!r}")
+                    return None if got is None else not got
+                return neg
+            if cls in _KLEENE:
+                left = formula(f.left, scope, depth)
+                right = formula(f.right, scope, depth)
+                stop, stopped, wins, both = _KLEENE[cls]
 
-    def compile_check(phi):
+                def connective():
+                    a = left()
+                    if a is stop:
+                        return stopped
+                    b = right()
+                    if b is wins:
+                        return wins
+                    return None if a is None or b is None else both
+                return connective
+            if cls is ForAll or cls is Exists:
+                # one slot per quantifier depth: a re-bound name gets a fresh
+                # slot, and the outer binding's slot is left untouched
+                slot = depth
+                if len(env) <= slot:
+                    env.append(0)
+                body = formula(f.body, {**scope, f.var: slot}, depth + 1)
+                want = cls is Exists
+
+                def quantifier():
+                    unknown = False
+                    for a in universe:
+                        env[slot] = a
+                        got = body()
+                        if got is want:
+                            return want
+                        if got is None:
+                            unknown = True
+                    return None if unknown else not want
+                return quantifier
+            raise LanguageError(f"not a formula: {f!r}")
+
         used.append([])
         try:
             return formula(phi, {}, 0)
         except KeyError:
             # only a slot lookup can miss: a variable that nothing binds
             raise LanguageError("model search expects sentences") from None
+        finally:
+            del term, entry, formula
 
     return compile_check, signature, resize, funtabs, reltabs
 
@@ -355,11 +365,14 @@ def _search_at_size(checks, k, funtabs, reltabs, rels, funs, readers,
         tab[i] = None
         return None
 
-    everything = range(len(checks))
-    pending = recheck(everything, everything)
-    if pending is None:
-        return None, suffix[0]
-    return dfs(0, pending), examined
+    try:
+        everything = range(len(checks))
+        pending = recheck(everything, everything)
+        if pending is None:
+            return None, suffix[0]
+        return dfs(0, pending), examined
+    finally:
+        del dfs  # dfs calls itself through its cell; emptying it lets refcounting free the search
 
 
 def model_search(axioms, max_size: int,

@@ -11,6 +11,10 @@ A structure interprets function symbols by flat row-major tables and
 relation symbols by sets of tuples.  Interpretations may cover only part
 of an infinite language; evaluation demands interpretations for exactly
 the symbols that occur in the formula at hand, in the order it meets them.
+
+An `eval_formula` call is released on return by reference counting alone:
+its recursive `atom` is deleted when the call ends, so it leaves no
+reference cycle for the cyclic collector to find.
 """
 
 from __future__ import annotations
@@ -136,7 +140,10 @@ def eval_formula(structure: FiniteStructure, phi: Formula,
                     sigma[f.var] = old
         raise StructureError(f"not a formula: {f!r}")
 
-    return truth(phi, atom, dict(assignment) if assignment else {})
+    try:
+        return truth(phi, atom, dict(assignment) if assignment else {})
+    finally:
+        del atom  # atom calls itself through its cell; emptying it lets refcounting free the call
 
 
 _MISSING = object()

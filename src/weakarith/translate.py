@@ -6,6 +6,9 @@ translate_formula flattens function applications into graph atoms behind
 fresh existentials (innermost first, left to right), maps relation atoms
 through their templates, and relativizes every quantifier to the domain.
 Free variables are left unguarded; closing them is the caller's business.
+A translate_formula call is released on return by reference counting alone:
+its recursive helpers are deleted when it ends, so it leaves no reference
+cycle for the cyclic collector to find.
 """
 
 from __future__ import annotations
@@ -180,7 +183,12 @@ def translate_formula(translation: Translation, phi: Formula) -> Formula:
             return Exists(inner, And(translation.guard(inner), body))
         raise TranslationError(f"not a formula: {f!r}")
 
-    return rec(phi, {})
+    try:
+        return rec(phi, {})
+    finally:
+        # rec and flatten call themselves through their cells; emptying them
+        # lets refcounting free the call
+        del rec, flatten
 
 
 # --- obligations ------------------------------------------------------------

@@ -418,8 +418,9 @@ def test_no_memo_outlives_its_call(monkeypatch, request):
     assert [fn(*args) for fn, *args in calls] == first
     assert container_sizes() == before
     assert all(memo is not None for memo in memos)
-    assert len({id(memo) for memo in memos}) == 2 * len(calls)
-    for memo in memos:
+    distinct = list({id(memo): memo for memo in memos}.values())
+    assert len(distinct) == 2 * len(calls)
+    for memo in distinct:  # once each, though the spy met it at every game of its call
         for part in memo:  # only the spy's list holds the memo, nothing in eqdecide
             assert [r is memo for r in gc.get_referrers(part)] == [True]
 

@@ -14,6 +14,11 @@ wraps it by name. A public module-level function or class counts as used when
 the package reads it outside its own definition or lists it in `__all__`, the
 benchmark reads it or wraps it, the README names it in a code span, or its
 docstring documents it as "Library API".
+
+A nested function that can call itself, directly or through other functions
+defined beside it, holds itself through its closure cell: every call of the
+function that defines it would leave that cycle to the cyclic collector. So
+the defining function must delete each such name in a `finally` clause.
 """
 
 import ast
@@ -152,3 +157,45 @@ def test_every_public_name_is_used():
                        for stmt in other.body if stmt is not d):
                 unused.append(f"{path.name}:{d.lineno}: {d.name}")
     assert unused == []
+
+
+def _scope(body: list[ast.stmt]):
+    """Every node of a scope's own code; a nested function, class or lambda
+    is yielded but not entered."""
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unreleased_closures(path: Path) -> list[str]:
+    out: list[str] = []
+    for outer in ast.walk(_tree(path)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_scope(outer.body))
+        defs = [d for d in own if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        names = {d.name for d in defs}
+        # each nested function -> the functions beside it that its body names
+        calls = {d.name: {n.id for n in ast.walk(d) if isinstance(n, ast.Name) and n.id in names}
+                 for d in defs}
+        # the names it deletes in the finally clauses of its own statements
+        released = {t.id for node in own if isinstance(node, ast.Try)
+                    for stmt in node.finalbody for d in ast.walk(stmt)
+                    if isinstance(d, ast.Delete) for t in d.targets if isinstance(t, ast.Name)}
+        for d in defs:
+            reached, todo = set(), [d.name]
+            while todo:
+                for callee in calls[todo.pop()] - reached:
+                    reached.add(callee)
+                    todo.append(callee)
+            if d.name in reached and d.name not in released:
+                out.append(f"{path.name}:{d.lineno}: {outer.name}.{d.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_self_calling_closure_is_deleted(path):
+    assert _unreleased_closures(path) == []

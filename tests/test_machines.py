@@ -394,7 +394,7 @@ def test_dropped_runs_never_halt():
     entered = set(pair.left.at(400) | pair.right.at(400))
     retired = 0
     for e in range(401):
-        if e in pair._runs or e in entered:
+        if e in pair._record.runs or e in entered:
             continue
         program = decode_program(e)
         start = (0, MachineRun(program, e).registers, 0)
@@ -406,4 +406,4 @@ def test_dropped_runs_never_halt():
             assert used <= 400 and out not in (0, 1)
     assert retired > 100
     pair.check_stage(600)
-    assert len(pair._runs) < 20
+    assert len(pair._record.runs) < 20
