@@ -386,10 +386,12 @@ def parse_pair_spec(text: str) -> OraclePair:
     parts = stripped.split(None, 1)
     if not parts or parts[0] != "finite" or len(parts) < 2:
         raise FormatError(f"bad pair spec {text!r}")
-    groups = re.findall(r"([A-Za-z_]\w*)=\{([0-9,\s]*)\}", parts[1])
-    if len(groups) != 2:
+    group = r"[A-Za-z_]\w*=\{([0-9,\s]*)\}"
+    # the two groups and nothing else, with whitespace or nothing between them
+    groups = re.fullmatch(rf"{group}\s*{group}", parts[1])
+    if groups is None:
         raise FormatError(f"pair spec needs exactly two NAME={{...}} groups: {text!r}")
-    sides = [[p.strip() for p in body.split(",") if p.strip()] for _, body in groups]
+    sides = [[p.strip() for p in body.split(",") if p.strip()] for body in groups.groups()]
     for p in sides[0] + sides[1]:
         if not p.isdigit():  # the pattern lets spaces in: '1 2'
             raise FormatError(f"bad element {p!r} in pair spec {text!r}")

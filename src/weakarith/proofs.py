@@ -276,11 +276,11 @@ def _instantiation_terms(goal: Formula, numeral_bound: int, language) -> list[Te
     pool = [node for node, _ in walk(goal) if type(node) is Var or type(node) is App]
     for n in range(numeral_bound + 1):
         try:
-            validate_formula(Eq(numeral(n), numeral(n)), language)
+            validate_formula(numeral(n), language)
         except WorkbenchError:
             break
         pool.append(numeral(n))
-    return sorted(dict.fromkeys(pool), key=lambda t: (formula_size(Eq(t, t)), print_term(t)))
+    return sorted(dict.fromkeys(pool), key=lambda t: (formula_size(t), print_term(t)))
 
 
 def _write_out(derived: dict, goal: Formula, theory_name: str) -> Proof:

@@ -12,9 +12,9 @@ relation symbols by sets of tuples.  Interpretations may cover only part
 of an infinite language; evaluation demands interpretations for exactly
 the symbols that occur in the formula at hand, in the order it meets them.
 
-An `eval_formula` call is released on return by reference counting alone:
-its recursive `atom` is deleted when the call ends, so it leaves no
-reference cycle for the cyclic collector to find.
+Tarskian truth recurses through the module-level `_tarski`, which takes the
+structure and the assignment as its state, so an `eval_formula` call holds
+no closure and leaves no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -114,39 +114,27 @@ def truth(f: Formula, atom, state) -> bool:
 def eval_formula(structure: FiniteStructure, phi: Formula,
                  assignment: Mapping[str, int] | None = None) -> bool:
     """Tarskian truth by exhaustive quantifier expansion."""
-    k = structure.size
-
-    def atom(f: Formula, sigma: dict[str, int]) -> bool:
-        t = type(f)
-        if t is Rel:
-            return structure.rel_holds(
-                f.name, [eval_term(structure, a, sigma) for a in f.args])
-        if t is Eq:
-            return (eval_term(structure, f.left, sigma)
-                    == eval_term(structure, f.right, sigma))
-        if t is ForAll or t is Exists:
-            want_all = t is ForAll
-            old = sigma.get(f.var, _MISSING)
-            try:
-                for a in range(k):
-                    sigma[f.var] = a
-                    if truth(f.body, atom, sigma) != want_all:
-                        return not want_all
-                return want_all
-            finally:
-                if old is _MISSING:
-                    sigma.pop(f.var, None)
-                else:
-                    sigma[f.var] = old
-        raise StructureError(f"not a formula: {f!r}")
-
-    try:
-        return truth(phi, atom, dict(assignment) if assignment else {})
-    finally:
-        del atom  # atom calls itself through its cell; emptying it lets refcounting free the call
+    return truth(phi, _tarski, (structure, assignment or {}))
 
 
-_MISSING = object()
+def _tarski(f: Formula, state) -> bool:
+    """Atoms and quantifiers; state is (structure, assignment)."""
+    structure, sigma = state
+    t = type(f)
+    if t is Rel:
+        return structure.rel_holds(f.name, [eval_term(structure, a, sigma) for a in f.args])
+    if t is Eq:
+        return eval_term(structure, f.left, sigma) == eval_term(structure, f.right, sigma)
+    if t is ForAll or t is Exists:
+        want_all = t is ForAll
+        sigma = dict(sigma)  # the quantifier's own binding, in a copy
+        inner = (structure, sigma)
+        for a in range(structure.size):
+            sigma[f.var] = a
+            if truth(f.body, _tarski, inner) != want_all:
+                return not want_all
+        return want_all
+    raise StructureError(f"not a formula: {f!r}")
 
 
 # --- text format ------------------------------------------------------------

@@ -459,8 +459,8 @@ def all_variable_names(phi: Formula) -> frozenset[str]:
     return frozenset(names)
 
 
-def formula_size(phi: Formula) -> int:
-    """Node count over the formula tree, terms included."""
+def formula_size(phi: Formula | Term) -> int:
+    """Node count over a formula or term tree, terms included."""
     return sum(1 for _ in walk(phi))
 
 
@@ -488,7 +488,7 @@ def symbols_of(phi: Formula) -> tuple[dict[str, int], dict[str, int]]:
     return rels, funs
 
 
-def validate_formula(phi: Formula, lang: Language) -> None:
+def validate_formula(phi: Formula | Term, lang: Language) -> None:
     """Check that every symbol reference resolves in lang at the right arity."""
     for kind, used in zip((KIND_RELATION, KIND_FUNCTION), symbols_of(phi)):
         for name, arity in used.items():

@@ -6,16 +6,16 @@ translate_formula flattens function applications into graph atoms behind
 fresh existentials (innermost first, left to right), maps relation atoms
 through their templates, and relativizes every quantifier to the domain.
 Free variables are left unguarded; closing them is the caller's business.
-A translate_formula call is released on return by reference counting alone:
-its recursive helpers are deleted when it ends, so it leaves no reference
-cycle for the cyclic collector to find.
+It recurses through the module-level `_translate`, `_flatten` and `_wrap`,
+which take the translation and an iterator of fresh names as arguments, so
+a call holds no closure and leaves no reference cycle behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iterproduct
+from itertools import count, filterfalse, product as iterproduct
 from typing import Mapping
 
 from .errors import FormatError, WorkbenchError
@@ -131,64 +131,51 @@ def translate_formula(translation: Translation, phi: Formula) -> Formula:
     """
     validate_formula(phi, translation.source)
     forbidden = all_variable_names(phi) | translation.template_names
-    counter = 0
+    fresh = filterfalse(forbidden.__contains__, map("w{}".format, count()))
+    return _translate(phi, {}, translation, fresh)
 
-    def fresh() -> str:
-        nonlocal counter
-        while True:
-            name = f"w{counter}"
-            counter += 1
-            if name not in forbidden:
-                return name
 
-    def flatten(t: Term, env, bindings) -> str:
-        if isinstance(t, Var):
-            return env.get(t.name, t.name)
-        argvars = [flatten(a, env, bindings) for a in t.args]
-        out = fresh()
-        bindings.append((out, t.name, argvars))
-        return out
+def _flatten(t: Term, env, bindings, fresh) -> str:
+    if isinstance(t, Var):
+        return env.get(t.name, t.name)
+    argvars = [_flatten(a, env, bindings, fresh) for a in t.args]
+    out = next(fresh)
+    bindings.append((out, t.name, argvars))
+    return out
 
-    def wrap(core: Formula, bindings) -> Formula:
-        for out, fname, argvars in reversed(bindings):
-            graph = translation.functions[fname].apply(
-                [Var(v) for v in argvars] + [Var(out)])
-            core = Exists(out, And(translation.guard(out), And(graph, core)))
-        return core
 
-    def rec(f: Formula, env) -> Formula:
-        if isinstance(f, Rel):
-            bindings: list = []
-            argvars = [flatten(a, env, bindings) for a in f.args]
-            core = translation.relations[f.name].apply([Var(v) for v in argvars])
-            return wrap(core, bindings)
-        if isinstance(f, Eq):
-            bindings = []
-            left = flatten(f.left, env, bindings)
-            right = flatten(f.right, env, bindings)
-            return wrap(Eq(Var(left), Var(right)), bindings)
-        if isinstance(f, (Verum, Falsum)):
-            return f
-        if isinstance(f, Not):
-            return Not(rec(f.body, env))
-        if isinstance(f, (And, Or, Implies)):
-            return type(f)(rec(f.left, env), rec(f.right, env))
-        if isinstance(f, (ForAll, Exists)):
-            inner = fresh()
-            sub = dict(env)
-            sub[f.var] = inner
-            body = rec(f.body, sub)
-            if isinstance(f, ForAll):
-                return ForAll(inner, Implies(translation.guard(inner), body))
-            return Exists(inner, And(translation.guard(inner), body))
-        raise TranslationError(f"not a formula: {f!r}")
+def _wrap(core: Formula, bindings, translation: Translation) -> Formula:
+    for out, fname, argvars in reversed(bindings):
+        graph = translation.functions[fname].apply([Var(v) for v in argvars] + [Var(out)])
+        core = Exists(out, And(translation.guard(out), And(graph, core)))
+    return core
 
-    try:
-        return rec(phi, {})
-    finally:
-        # rec and flatten call themselves through their cells; emptying them
-        # lets refcounting free the call
-        del rec, flatten
+
+def _translate(f: Formula, env, translation: Translation, fresh) -> Formula:
+    if isinstance(f, Rel):
+        bindings: list = []
+        argvars = [_flatten(a, env, bindings, fresh) for a in f.args]
+        core = translation.relations[f.name].apply([Var(v) for v in argvars])
+        return _wrap(core, bindings, translation)
+    if isinstance(f, Eq):
+        bindings = []
+        left = _flatten(f.left, env, bindings, fresh)
+        right = _flatten(f.right, env, bindings, fresh)
+        return _wrap(Eq(Var(left), Var(right)), bindings, translation)
+    if isinstance(f, (Verum, Falsum)):
+        return f
+    if isinstance(f, Not):
+        return Not(_translate(f.body, env, translation, fresh))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(_translate(f.left, env, translation, fresh),
+                       _translate(f.right, env, translation, fresh))
+    if isinstance(f, (ForAll, Exists)):
+        inner = next(fresh)
+        body = _translate(f.body, {**env, f.var: inner}, translation, fresh)
+        if isinstance(f, ForAll):
+            return ForAll(inner, Implies(translation.guard(inner), body))
+        return Exists(inner, And(translation.guard(inner), body))
+    raise TranslationError(f"not a formula: {f!r}")
 
 
 # --- obligations ------------------------------------------------------------

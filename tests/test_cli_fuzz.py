@@ -92,7 +92,8 @@ THEORIES = ["R", "R0", "Q", "Q+", "PA-", "TC", "AS", "T-set", "U:canonical",
             "E:finite B={x} C={1}", "product:R,Q", "product:R", "nonsense", ""]
 PAIRS = ["canonical", "finite B={1,3} C={2}", "finite B={} C={}",
          "finite B={1,2} C={2}", "finite B={x} C={1}", "finite B={1 2} C={3}",
-         "finite", "", " canonical "]
+         "finite", "", " canonical ", "finite B={1} C={2},{3}",
+         "finite B={1} C={2} {3}", "finite junk B={1} x C={2} y"]
 DECIDERS = ["table", "equivalence", "proof-search", "oracle"]
 LANGUAGES = ["eq", "u", "prf", "R", "Q", "PA-", "E:canonical", "nonsense", ""]
 TEXTS = ["(= 0 0)", "(forall x (E x x))", "(P (S (S 0)))", "(forall c (= (c) c))",

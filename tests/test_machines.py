@@ -16,6 +16,7 @@ from weakarith.machines import (
     decode_program,
     encode_program,
     inc,
+    load_pair_spec,
     parse_pair_spec,
     parse_program,
     run_bounded,
@@ -88,6 +89,26 @@ def test_pair_spec_names_an_element_that_is_not_a_number():
     assert str(err.value) == "bad element '1 2' in pair spec 'finite B={1 2} C={}'"
     # empty and padded elements are skipped or trimmed, as before
     pair = parse_pair_spec("finite B={1,,2} C={ 3 ,}")
+    assert pair.left.at(0) == {1, 2} and pair.right.at(0) == {3}
+
+
+# text beside the two groups used to be skipped: the first two ran as
+# C={2}, dropping the 3, and the third as B={1} C={2}
+@pytest.mark.parametrize("spec", ["finite B={1} C={2},{3}", "finite B={1} C={2} {3}",
+                                  "finite junk B={1} x C={2} y",
+                                  "finite B={1} C={2}\n# the right side\n"])
+def test_pair_spec_refuses_text_beside_its_groups(spec):
+    with pytest.raises(FormatError) as err:
+        parse_pair_spec(spec)
+    assert str(err.value) == f"pair spec needs exactly two NAME={{...}} groups: {spec!r}"
+
+
+def test_pair_spec_reads_adjacent_groups_and_a_multiline_file(tmp_path):
+    pair = parse_pair_spec("finite B={1}C={2}")
+    assert pair.left.at(0) == {1} and pair.right.at(0) == {2}
+    spec = tmp_path / "pair.txt"
+    spec.write_text("finite\n  B={1,\n     2}\n  C={3}\n")
+    pair = load_pair_spec(str(spec))
     assert pair.left.at(0) == {1, 2} and pair.right.at(0) == {3}
 
 
