@@ -34,8 +34,10 @@ CodeTooLarge once a code has more than MAX_CODE_BITS = 2^21 bits (256 KiB).
 The largest code the test suite encodes has 1,214,182 bits; the equation
 (= numeral(4) x) has 606,964.  So encoding multiplies numbers of at most
 2^21 bits, and refuses a formula at most about 21 pairings above its leaves.
-Encoding is injective by construction; decode is total on the range and
-raises NotACode elsewhere.
+No sub-code is larger than the code that holds it, so no code of more than
+MAX_CODE_BITS bits is in encode's range, and godel_decode raises NotACode for
+one before its first root.  Encoding is injective by construction; decode is
+total on the range and raises NotACode elsewhere.
 
 Unpairing needs isqrt(8c + 1).  For c of up to _ISQRT_BITS = 2,048 bits,
 `unpair` takes it from math.isqrt; above that, from `_sqrtrem`, Zimmermann's
@@ -43,7 +45,12 @@ divide-and-conquer square root with remainder (Karatsuba Square Root, INRIA
 RR-3805, 1999; Brent and Zimmermann, Modern Computer Arithmetic, 2010,
 section 1.5.2), about twice as fast as math.isqrt from 20k to 600k bits.
 Its remainder gives the first component without the square the closed form
-pays.  Both roots are exact, so the numbering is unchanged.
+pays.  The root's one division per level, 2n by n bits, is Burnikel and
+Ziegler's recursive division (`_div2n1n`; Fast Recursive Division,
+MPI-I-98-1-022, 1998), which costs a few multiplications where CPython
+3.11's divmod is quadratic.  At or below a quotient of _DIV_BITS = 3,000
+bits it is divmod.  Roots and divisions are exact, so the numbering is
+unchanged.
 
 Both directions recurse once per level. Decoding goes at most log2 of the
 code's bit length deep, since a code at least doubles its bits per level.
@@ -63,6 +70,7 @@ from .syntax import (And, App, Eq, Exists, ForAll, Formula, Implies, LanguageErr
 
 MAX_CODE_BITS = 1 << 21
 _ISQRT_BITS = 2048
+_DIV_BITS = 3000
 
 
 class NotACode(WorkbenchError):
@@ -103,13 +111,57 @@ def _sqrtrem(n: int) -> tuple[int, int]:
     l = bits + 1 >> 2
     low = (1 << l) - 1
     s1, r1 = _sqrtrem(n >> 2 * l)
-    q, u = divmod((r1 << l) + (n >> l & low), s1 << 1)
+    d = s1 << 1
+    # r1 <= 2*s1 = d and s1 >= 2^(l-1), so d has k > l bits and the dividend,
+    # at most d*2^l + 2^l - 1, is below d*2^k, as _div2n1n asks
+    q, u = _div2n1n((r1 << l) + (n >> l & low), d, d.bit_length())
     s = (s1 << l) + q
     r = (u << l) + (n & low) - q * q
     if r < 0:
         r += 2 * s - 1
         s -= 1
     return s, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b*2^n.
+
+    Burnikel and Ziegler's recursive division.  Up to _DIV_BITS quotient
+    bits it is divmod.  Above, b splits into halves b1, b2 of h = n/2 bits
+    and a into four h-bit digits: _div3n2n divides a's top three digits by
+    b, then the remainder and a's last digit, each quotient h bits wide.
+    An odd n first shifts a and b left one bit, and the remainder back.
+    """
+    if a.bit_length() - n <= _DIV_BITS:
+        return divmod(a, b)
+    pad = n & 1
+    a, b, n = a << pad, b << pad, n + pad
+    h = n >> 1
+    low = (1 << h) - 1
+    b1, b2 = b >> h, b & low
+    q1, r = _div3n2n(a >> n, a >> h & low, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & low, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12*2^h + a3, b) for b = b1*2^h + b2 of 2h bits, a3 < 2^h
+    and a12 < b.
+
+    The quotient of a12 by b1 estimates the quotient; since b1's top bit
+    is set, the estimate is at most two too large.  When a12's top half
+    equals b1, that quotient would not fit in h bits, and 2^h - 1 is the
+    estimate instead.
+    """
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
 
 
 def unpair(c: int) -> tuple[int, int]:
@@ -227,4 +279,7 @@ def godel_encode(phi: Formula) -> int:
 
 
 def godel_decode(code: int) -> Formula:
+    # no sub-code is larger than its code, so encoding's cap bounds its range
+    if code.bit_length() > MAX_CODE_BITS:
+        raise NotACode(f"code exceeds {MAX_CODE_BITS} bits, the most a formula's code has")
     return _decode(code, FORMULA)

@@ -399,8 +399,12 @@ def parse_pair_spec(text: str) -> OraclePair:
 
 
 def load_pair_spec(spec: str) -> OraclePair:
-    """A pair from an inline spec ('canonical', 'finite ...') or a spec file."""
+    """A pair from an inline spec ('canonical', 'finite ...') or a spec file.
+
+    Text that is 'canonical' or begins with the word 'finite' is inline;
+    any other is the path of a file, '=' in its name or not.
+    """
     text = spec.strip()
-    if text != "canonical" and "=" not in text:
+    if text != "canonical" and text.split(None, 1)[:1] != ["finite"]:
         text = read_text(text)
     return parse_pair_spec(text)

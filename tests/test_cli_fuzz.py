@@ -67,8 +67,8 @@ CAPS = {
 # rank-2 sentence; every rank above MAX_RANK is refused before any work
 RANKS = st.one_of(st.integers(0, 4), st.sampled_from([MAX_RANK + 1, 40, 10**20]))
 # --code, --decode and --input are not capped: a code up to 10^20 decodes at
-# once (larger formula codes are refused by size) and a run's work is set
-# by --steps, not by its input
+# once (godel_decode refuses a code of more than MAX_CODE_BITS bits before
+# unpairing it) and a run's work is set by --steps, not by its input
 NUMBERS = st.one_of(st.integers(0, 20), st.integers(0, 10**20))
 # codes above the codec's isqrt cutoff: a valid one of 75,872 bits and random
 # ones of 5k to 150k bits, which decode until their first bad tag or name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from weakarith.godel import NotACode, godel_decode, godel_encode, pair, unpair
-from weakarith.godel import _ISQRT_BITS, _encode_str, _sqrtrem
+from weakarith.godel import _DIV_BITS, _ISQRT_BITS, _div2n1n, _div3n2n, _encode_str, _sqrtrem
 from weakarith.sexpr import parse_formula
 from weakarith.syntax import App, Eq, Not, Rel, Var
 from weakarith.theories import get_language
@@ -77,8 +77,10 @@ def _sqrtrem_cases(bits, rng):
 
 
 # every residue of the bit length mod 4 just below, at and above the cutoff,
-# where the recursion starts, and at the largest sizes the codec meets
-_SQRT_BITS = sorted({b for base in (1, _ISQRT_BITS, 2 * _ISQRT_BITS, 10**4, 200_000)
+# where the recursion starts; where the top division's quotient of about
+# bits/4 bits meets the division's leaf; and at the largest sizes the codec meets
+_SQRT_BITS = sorted({b for base in (1, _ISQRT_BITS, 2 * _ISQRT_BITS, 4 * _DIV_BITS, 10**4,
+                                    200_000)
                      for b in range(max(1, base - 4), base + 5)})
 
 
@@ -107,6 +109,49 @@ def test_unpair_matches_the_closed_form_above_the_cutoff(bits, rng):
               *_near_squares(bits, rng)):
         assert c.bit_length() > _ISQRT_BITS
         assert unpair(c) == _closed_unpair(c)
+
+
+def _divisor(n, rng):
+    return rng.getrandbits(n) | 1 << n - 1
+
+
+@given(st.integers(1, 5 * _DIV_BITS), st.randoms(use_true_random=False))
+def test_div2n1n_matches_divmod(n, rng):
+    b = _divisor(n, rng)
+    # a random dividend, the largest one allowed, and one of a random width
+    for a in (rng.randrange(b << n), (b << n) - 1, rng.getrandbits(rng.randrange(2 * n))):
+        assert _div2n1n(a, b, n) == divmod(a, b)
+
+
+@pytest.mark.parametrize("width", [_DIV_BITS - 1, _DIV_BITS, _DIV_BITS + 1])
+@pytest.mark.parametrize("n", [_DIV_BITS + 2, 2 * _DIV_BITS + 1, 4 * _DIV_BITS + 3])
+def test_div2n1n_at_the_leaf_cutoff_and_for_odd_halves(n, width):
+    # quotients of the leaf's width and one bit either side; an odd n, or
+    # an odd half of an even one, takes the padding branch
+    rng = random.Random(n * width)
+    b = _divisor(n, rng)
+    for a in (rng.getrandbits(n + width) | 1 << n + width - 1, (b << n) - 1,
+              (b << n) - b, b << n - 1):
+        assert a < b << n
+        assert _div2n1n(a, b, n) == divmod(a, b)
+
+
+def test_div3n2n_every_case_of_small_halves():
+    # every dividend for every divisor of 2h bits: the estimate is at most
+    # two too large and is that much too large somewhere, and a12's top
+    # half equal to b1 (as in a = b*2^n - 1) takes the 2^h - 1 estimate
+    seen = set()
+    for h in (1, 2, 3):
+        for b in range(1 << 2 * h - 1, 1 << 2 * h):
+            b1, b2 = b >> h, b & (1 << h) - 1
+            for a12 in range(b):
+                for a3 in range(1 << h):
+                    q, r = divmod(a12 << h | a3, b)
+                    assert _div3n2n(a12, a3, b, b1, b2, h) == (q, r)
+                    estimate = min(a12 // b1, (1 << h) - 1)
+                    assert 0 <= estimate - q <= 2
+                    seen.add((estimate - q, a12 >> h == b1))
+    assert (2, False) in seen and (0, True) in seen
 
 
 def test_string_code_golden():
@@ -270,3 +315,25 @@ def test_the_cap_refuses_within_two_seconds_and_admits_the_numeral_4():
         with pytest.raises(CodeTooLarge):
             godel_encode(deep)
         assert perf_counter() - start < 2
+
+
+def test_decode_refuses_codes_past_the_encode_cap():
+    # no sub-code is larger than its code, so a code past MAX_CODE_BITS is
+    # outside encode's range: this one unpairs to (not (not (= numeral(4) x))),
+    # a formula encode refuses (test_the_cap_refuses_within_two_seconds...)
+    from weakarith.godel import MAX_CODE_BITS
+    from weakarith.theories import numeral
+
+    code = pair(6, pair(6, godel_encode(Eq(numeral(4), Var("x")))))
+    assert code.bit_length() == 2_427_850
+    message = f"code exceeds {MAX_CODE_BITS} bits, the most a formula's code has"
+    for code in (code, 1 << MAX_CODE_BITS):
+        with pytest.raises(NotACode) as err:
+            godel_decode(code)
+        assert str(err.value) == message
+    # a code of exactly MAX_CODE_BITS bits is unpaired: tag 0 is a term
+    edge = pair(0, 1 << MAX_CODE_BITS // 2)
+    assert edge.bit_length() == MAX_CODE_BITS
+    with pytest.raises(NotACode) as err:
+        godel_decode(edge)
+    assert str(err.value) == "bad formula tag 0"

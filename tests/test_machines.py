@@ -112,6 +112,24 @@ def test_pair_spec_reads_adjacent_groups_and_a_multiline_file(tmp_path):
     assert pair.left.at(0) == {1, 2} and pair.right.at(0) == {3}
 
 
+def test_pair_spec_or_file_is_chosen_by_the_first_word(tmp_path, capsys):
+    # '=' does not choose: a file may have it in its name, and 'finite'
+    # alone is a bad inline spec, not a missing file
+    from weakarith.cli import main
+
+    spec = tmp_path / "a=b.spec"
+    spec.write_text("finite B={1} C={2}\n")
+    pair = load_pair_spec(str(spec))
+    assert pair.left.at(0) == {1} and pair.right.at(0) == {2}
+    assert main(["enumerate-pair", "--stage", "0", "--pair", str(spec)]) == 0
+    assert capsys.readouterr().err == ""
+    with pytest.raises(FormatError) as err:
+        load_pair_spec("finite")
+    assert str(err.value) == "bad pair spec 'finite'"
+    assert main(["enumerate-pair", "--stage", "0", "--pair", "finite"]) == 2
+    assert capsys.readouterr().err == "error: bad pair spec 'finite'\n"
+
+
 def test_finite_stage_set_ignores_stage():
     s = parse_pair_spec("finite B={1,4} C={}").left
     assert s.at(0) == {1, 4}
